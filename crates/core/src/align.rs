@@ -115,9 +115,38 @@ pub fn align(
     mode: AlignmentMode,
 ) -> Alignment {
     match mode {
-        AlignmentMode::Greedy => align_greedy(q, p, params),
-        AlignmentMode::Optimal => align_optimal(q, p, params),
+        AlignmentMode::Greedy => scan_greedy::<true>(q, p),
+        AlignmentMode::Optimal => scan_optimal::<true>(q, p, params, &mut AlignScratch::default()),
     }
+    .finish(params)
+}
+
+/// `align(q, p, params, mode).lambda`, bit for bit, without recording
+/// `φ`: the same scan, with no bindings and no allocation once
+/// `scratch` has grown to the largest DP table (only
+/// [`AlignmentMode::Optimal`] uses it). Clustering prices every
+/// candidate with this and builds full alignments only for the
+/// entries a cluster keeps.
+pub(crate) fn align_lambda(
+    q: &QueryPath,
+    p: LabelsRef<'_>,
+    params: &ScoreParams,
+    mode: AlignmentMode,
+    scratch: &mut AlignScratch,
+) -> f64 {
+    match mode {
+        AlignmentMode::Greedy => scan_greedy::<false>(q, p),
+        AlignmentMode::Optimal => scan_optimal::<false>(q, p, params, scratch),
+    }
+    .lambda(params)
+}
+
+/// Reusable buffers of the optimal alignment's dynamic program.
+#[derive(Default)]
+pub(crate) struct AlignScratch {
+    cost: Vec<f64>,
+    step: Vec<Step>,
+    trace: Vec<Step>,
 }
 
 /// Number of units of a path with `k` nodes: the sink node plus `k-1`
@@ -153,7 +182,9 @@ fn q_unit_weights(q: &QueryPath, u: usize) -> (f64, f64) {
     (q.edge_weight(k - 1 - u), q.node_weight(k - 1 - u))
 }
 
-struct Tally {
+/// The running counters of one scan. `BIND` selects whether the
+/// variable bindings of `φ` are recorded; λ never depends on them.
+struct Tally<const BIND: bool> {
     counts: AlignmentCounts,
     /// IC-weighted mismatch mass: each node mismatch contributes its
     /// query position's weight instead of `1`. Under uniform weights
@@ -166,7 +197,7 @@ struct Tally {
     bindings: Vec<(LabelId, LabelId)>,
 }
 
-impl Tally {
+impl<const BIND: bool> Tally<BIND> {
     fn new() -> Self {
         Tally {
             counts: AlignmentCounts::default(),
@@ -176,9 +207,16 @@ impl Tally {
         }
     }
 
+    #[inline]
+    fn bind(&mut self, v: LabelId, p: LabelId) {
+        if BIND {
+            self.bindings.push((v, p));
+        }
+    }
+
     fn match_node(&mut self, q: &QueryLabel, p: LabelId, weight: f64) {
         match q {
-            QueryLabel::Var(v) => self.bindings.push((*v, p)),
+            QueryLabel::Var(v) => self.bind(*v, p),
             c if c.admits(p) => {}
             _ => {
                 self.counts.nodes_mismatched += 1;
@@ -189,7 +227,7 @@ impl Tally {
 
     fn match_edge(&mut self, q: &QueryLabel, p: LabelId, weight: f64) {
         match q {
-            QueryLabel::Var(v) => self.bindings.push((*v, p)),
+            QueryLabel::Var(v) => self.bind(*v, p),
             c if c.admits(p) => {}
             _ => {
                 self.counts.edges_mismatched += 1;
@@ -208,20 +246,23 @@ impl Tally {
         self.counts.edges_deleted += 1;
     }
 
-    fn finish(self, params: &ScoreParams) -> Alignment {
+    fn lambda(&self, params: &ScoreParams) -> f64 {
         // Same terms in the same order as [`AlignmentCounts::lambda`],
         // with the mismatch counters replaced by their weighted sums —
         // insertions and deletions stay unweighted (IC prices *label*
         // disagreement, not structure).
-        let lambda = params.a * self.node_mismatch_weight
+        params.a * self.node_mismatch_weight
             + params.b * f64::from(self.counts.nodes_inserted)
             + params.c * self.edge_mismatch_weight
             + params.d * f64::from(self.counts.edges_inserted)
             + params.del_node * f64::from(self.counts.nodes_deleted)
-            + params.del_edge * f64::from(self.counts.edges_deleted);
+            + params.del_edge * f64::from(self.counts.edges_deleted)
+    }
+
+    fn finish(self, params: &ScoreParams) -> Alignment {
         Alignment {
             counts: self.counts,
-            lambda,
+            lambda: self.lambda(params),
             bindings: self.bindings,
         }
     }
@@ -231,7 +272,7 @@ fn unit_compatible(q: (&QueryLabel, &QueryLabel), p: (LabelId, LabelId)) -> bool
     q.0.admits(p.0) && q.1.admits(p.1)
 }
 
-fn align_greedy(q: &QueryPath, p: LabelsRef<'_>, params: &ScoreParams) -> Alignment {
+fn scan_greedy<const BIND: bool>(q: &QueryPath, p: LabelsRef<'_>) -> Tally<BIND> {
     let m = unit_count(p.node_labels.len());
     let n = unit_count(q.nodes.len());
     let mut tally = Tally::new();
@@ -270,7 +311,7 @@ fn align_greedy(q: &QueryPath, p: LabelsRef<'_>, params: &ScoreParams) -> Alignm
         tally.delete_unit();
         j += 1;
     }
-    tally.finish(params)
+    tally
 }
 
 /// DP cell provenance for count/binding reconstruction.
@@ -282,7 +323,12 @@ enum Step {
     Delete,
 }
 
-fn align_optimal(q: &QueryPath, p: LabelsRef<'_>, params: &ScoreParams) -> Alignment {
+fn scan_optimal<const BIND: bool>(
+    q: &QueryPath,
+    p: LabelsRef<'_>,
+    params: &ScoreParams,
+    scratch: &mut AlignScratch,
+) -> Tally<BIND> {
     let m = unit_count(p.node_labels.len());
     let n = unit_count(q.nodes.len());
 
@@ -294,8 +340,12 @@ fn align_optimal(q: &QueryPath, p: LabelsRef<'_>, params: &ScoreParams) -> Align
     let insert_cost = params.b + params.d;
     let delete_cost = params.del_node + params.del_edge;
 
-    let mut cost = vec![0.0f64; rows * cols];
-    let mut step = vec![Step::Start; rows * cols];
+    let AlignScratch { cost, step, trace } = scratch;
+    cost.clear();
+    cost.resize(rows * cols, 0.0);
+    step.clear();
+    step.resize(rows * cols, Step::Start);
+    trace.clear();
     for i in 1..rows {
         cost[idx(i, 0)] = i as f64 * insert_cost;
         step[idx(i, 0)] = Step::Insert;
@@ -340,7 +390,6 @@ fn align_optimal(q: &QueryPath, p: LabelsRef<'_>, params: &ScoreParams) -> Align
     let mut tally = Tally::new();
     tally.match_node(q.sink(), p.sink_label(), q.node_weight(q.nodes.len() - 1));
     let (mut i, mut j) = (rows - 1, cols - 1);
-    let mut trace: Vec<Step> = Vec::with_capacity(rows + cols);
     while i > 0 || j > 0 {
         let s = if i == 0 {
             Step::Delete
@@ -365,7 +414,7 @@ fn align_optimal(q: &QueryPath, p: LabelsRef<'_>, params: &ScoreParams) -> Align
     // is collected from the far end toward the sink — reverse it).
     let mut pi = 1usize;
     let mut pj = 1usize;
-    for s in trace.into_iter().rev() {
+    for &s in trace.iter().rev() {
         match s {
             Step::Match => {
                 let pu = p_unit(p, pi);
@@ -387,7 +436,7 @@ fn align_optimal(q: &QueryPath, p: LabelsRef<'_>, params: &ScoreParams) -> Align
             Step::Start => {}
         }
     }
-    tally.finish(params)
+    tally
 }
 
 #[cfg(test)]
@@ -521,10 +570,15 @@ mod tests {
     fn greedy_never_beats_optimal() {
         let (d, qpaths, dpaths) = setup();
         let params = ScoreParams::paper();
+        let mut scratch = AlignScratch::default();
         for q in &qpaths {
             for p in &dpaths {
                 let g = align(q, p.view(), &params, AlignmentMode::Greedy);
                 let o = align(q, p.view(), &params, AlignmentMode::Optimal);
+                for (mode, full) in [(AlignmentMode::Greedy, &g), (AlignmentMode::Optimal, &o)] {
+                    let lambda = align_lambda(q, p.view(), &params, mode, &mut scratch);
+                    assert_eq!(lambda.to_bits(), full.lambda.to_bits(), "mode {mode:?}");
+                }
                 assert!(
                     g.lambda >= o.lambda - 1e-12,
                     "greedy {} < optimal {} for q={} p={:?}",
@@ -587,6 +641,7 @@ mod tests {
         // contract the IC tier rests on.
         let (_, qpaths, dpaths) = setup();
         let params = ScoreParams::paper();
+        let mut scratch = AlignScratch::default();
         for q in &qpaths {
             let mut weighted = q.clone();
             weighted.node_weights = Some(vec![1.0; q.nodes.len()].into());
@@ -598,6 +653,10 @@ mod tests {
                     assert_eq!(plain.lambda.to_bits(), ic.lambda.to_bits(), "mode {mode:?}");
                     assert_eq!(plain.counts, ic.counts);
                     assert_eq!(plain.bindings, ic.bindings);
+                    for (path, full) in [(q, &plain), (&weighted, &ic)] {
+                        let lambda = align_lambda(path, p.view(), &params, mode, &mut scratch);
+                        assert_eq!(lambda.to_bits(), full.lambda.to_bits(), "mode {mode:?}");
+                    }
                 }
             }
         }
@@ -618,6 +677,8 @@ mod tests {
         for mode in [AlignmentMode::Greedy, AlignmentMode::Optimal] {
             let a = align(&q1, p2.view(), &params, mode);
             assert_eq!(a.lambda, 3.0, "mode {mode:?}");
+            let lambda = align_lambda(&q1, p2.view(), &params, mode, &mut Default::default());
+            assert_eq!(lambda.to_bits(), a.lambda.to_bits());
             assert_eq!(a.counts.nodes_mismatched, 1);
         }
 

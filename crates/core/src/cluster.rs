@@ -9,7 +9,7 @@
 //! alignment needed to obtain p from q") and clusters are kept sorted
 //! by alignment quality, best (lowest λ) first.
 
-use crate::align::{align, Alignment, AlignmentMode};
+use crate::align::{align, align_lambda, AlignScratch, Alignment, AlignmentMode};
 use crate::deadline::QueryBudget;
 use crate::params::ScoreParams;
 use crate::qpath::{QueryLabel, QueryPath};
@@ -101,7 +101,7 @@ pub enum Retrieval {
 }
 
 impl Retrieval {
-    /// The default LSH tier: 8 bands × 2 rows, `top_m` = 128.
+    /// The default LSH tier: 32 bands × 2 rows, `top_m` = 128.
     pub const DEFAULT_LSH: Retrieval = Retrieval::Lsh {
         bands: LSH_DEFAULT_BANDS,
         rows: LSH_DEFAULT_ROWS,
@@ -112,9 +112,12 @@ impl Retrieval {
 /// Limits for cluster construction.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterConfig {
-    /// Keep at most this many entries per cluster (best-λ first). The
-    /// search step only ever combines cluster members, so this bounds
-    /// both memory and the search branching factor.
+    /// Keep at most this many entries per cluster (best-λ first). Every
+    /// candidate is priced by λ alone; full alignments (counts and φ
+    /// bindings) are built only for the entries kept, so this bounds
+    /// both the cluster's memory and its full-alignment work. The
+    /// search step only ever combines cluster members, so it also
+    /// bounds the search branching factor.
     pub max_cluster_size: usize,
     /// Align at most this many candidates per cluster (an upstream cap
     /// for pathological label frequencies).
@@ -135,7 +138,7 @@ pub struct ClusterConfig {
     /// Theorem 1's end-to-end monotonicity) that the paper's anchor
     /// heuristic does not preserve.
     pub exhaustive: bool,
-    /// Align the retrieved candidate list on scoped threads when it is
+    /// Price the retrieved candidate list on scoped threads when it is
     /// long enough (see [`ClusterConfig::parallel_threshold`]). The
     /// real fan-out of a query is the candidates *within* a cluster
     /// (up to [`ClusterConfig::max_candidates`]), not the handful of
@@ -215,7 +218,7 @@ impl ClusterEntry {
 pub struct Cluster {
     /// Index of the query path in `PQ`.
     pub qpath_index: usize,
-    /// Entries sorted ascending by `(λ, path id)` — best first.
+    /// Entries sorted ascending by `(λ, path content)` — best first.
     pub entries: Vec<ClusterEntry>,
     /// Cost of covering this query path with nothing at all (cluster
     /// empty, or deliberate skip): full deletion of the path.
@@ -363,7 +366,7 @@ pub fn build_clusters_parallel<I: IndexLike + Sync>(
         .collect()
 }
 
-/// Candidate alignments between polls of an attached [`QueryBudget`]
+/// Candidates priced between polls of an attached [`QueryBudget`]
 /// during clustering.
 pub const ALIGN_CHECK_INTERVAL: usize = 256;
 
@@ -393,20 +396,8 @@ fn build_cluster<I: IndexLike + Sync>(
     };
 
     let align_span = sama_obs::span!("cluster.align_ns");
-    let mut entries = if !budget.is_unlimited() {
-        // Budgeted alignment runs inline so the checkpoints see every
-        // candidate; entries (and their order) are identical to the
-        // parallel path while the budget holds.
-        let aligned = align_candidates_budgeted(q, index, considered, params, mode, budget);
-        dropped += considered.len() - aligned.len();
-        aligned
-    } else if config.parallel_alignment {
-        align_candidates_parallel(q, index, considered, params, mode, config)
-    } else {
-        align_candidates(q, index, considered, params, mode)
-    };
-    entries.sort_by(|x, y| entry_cmp(index, x, y));
-    entries.truncate(config.max_cluster_size);
+    let (entries, priced) = fill_cluster(q, index, considered, params, mode, config, budget);
+    dropped += considered.len() - priced;
     drop(align_span);
 
     sama_obs::counter_add("cluster.builds_total", 1);
@@ -519,110 +510,154 @@ fn query_shingles(q: &QueryPath) -> Vec<u64> {
     shingles
 }
 
-/// λ first; ties broken by the path's *content* (its node/edge id
-/// sequences in the shared data graph), not by the path id — path ids
-/// are deployment-specific (a sharded index numbers them differently),
-/// and `max_cluster_size` truncation must keep the same entry set
-/// everywhere for answers to be score-identical.
-fn entry_cmp<I: IndexLike + ?Sized>(index: &I, x: &ClusterEntry, y: &ClusterEntry) -> Ordering {
-    x.lambda().total_cmp(&y.lambda()).then_with(|| {
-        index
-            .path_nodes(x.path_id)
-            .cmp(index.path_nodes(y.path_id))
-            .then_with(|| index.path_edges(x.path_id).cmp(index.path_edges(y.path_id)))
-    })
+/// Ties between equal λ are broken by the path's *content* (its
+/// node/edge id sequences in the shared data graph), not by the path
+/// id — path ids are deployment-specific (a sharded index numbers them
+/// differently), and `max_cluster_size` truncation must keep the same
+/// entry set everywhere for answers to be score-identical.
+fn content_cmp<I: IndexLike + ?Sized>(index: &I, x: PathId, y: PathId) -> Ordering {
+    index
+        .path_nodes(x)
+        .cmp(index.path_nodes(y))
+        .then_with(|| index.path_edges(x).cmp(index.path_edges(y)))
 }
 
-/// Align candidates inline, polling `budget` every
-/// [`ALIGN_CHECK_INTERVAL`]-th candidate (the first is always polled);
-/// stops early — returning the entries aligned so far — once it
-/// expires.
-fn align_candidates_budgeted<I: IndexLike + ?Sized>(
-    q: &QueryPath,
-    index: &I,
-    considered: &[PathId],
-    params: &ScoreParams,
-    mode: AlignmentMode,
-    budget: &QueryBudget,
-) -> Vec<ClusterEntry> {
-    let mut entries = Vec::with_capacity(considered.len());
-    for (i, &pid) in considered.iter().enumerate() {
-        if i % ALIGN_CHECK_INTERVAL == 0 && budget.exceeded().is_some() {
-            break;
-        }
-        entries.push(ClusterEntry {
-            path_id: pid,
-            alignment: align(q, index.labels(pid), params, mode),
-        });
-    }
-    entries
-}
-
-/// Align every candidate inline, in retrieval order.
-fn align_candidates<I: IndexLike + ?Sized>(
-    q: &QueryPath,
-    index: &I,
-    considered: &[PathId],
-    params: &ScoreParams,
-    mode: AlignmentMode,
-) -> Vec<ClusterEntry> {
-    considered
-        .iter()
-        .map(|&pid| ClusterEntry {
-            path_id: pid,
-            alignment: align(q, index.labels(pid), params, mode),
-        })
-        .collect()
-}
-
-/// Align the candidate list across scoped worker threads.
-///
-/// Each worker sorts its chunk with [`entry_cmp`] and keeps only its
-/// best `max_cluster_size` entries (a per-chunk best-λ heap): an entry
-/// dropped there has `max_cluster_size` better-ordered entries in its
-/// own chunk alone, so it can never make the cluster's global cut.
-/// Chunks are concatenated in candidate order, and the caller's final
-/// *stable* sort + truncate therefore yields exactly the entries —
-/// and the entry order — of the sequential path.
-fn align_candidates_parallel<I: IndexLike + Sync + ?Sized>(
+/// Fill one cluster: price every candidate by λ alone, select the best
+/// `max_cluster_size` of them, and build full alignments (counts, λ, φ
+/// bindings) only for those. Pricing runs inline, polling `budget`, or
+/// — with an unlimited budget and
+/// [`ClusterConfig::parallel_alignment`] — on scoped threads; the
+/// selection is the same either way. Returns the entries, best first,
+/// and how many candidates were priced before the budget expired.
+#[allow(clippy::too_many_arguments)]
+fn fill_cluster<I: IndexLike + Sync + ?Sized>(
     q: &QueryPath,
     index: &I,
     considered: &[PathId],
     params: &ScoreParams,
     mode: AlignmentMode,
     config: &ClusterConfig,
-) -> Vec<ClusterEntry> {
+    budget: &QueryBudget,
+) -> (Vec<ClusterEntry>, usize) {
+    let lambdas = if budget.is_unlimited() && config.parallel_alignment {
+        price_candidates_parallel(q, index, considered, params, mode, config)
+    } else {
+        price_candidates(q, index, considered, params, mode, budget)
+    };
+    let priced = lambdas.len();
+    let entries = select_best(index, considered, lambdas, config.max_cluster_size)
+        .into_iter()
+        .map(|i| {
+            let path_id = considered[i];
+            ClusterEntry {
+                path_id,
+                alignment: align(q, index.labels(path_id), params, mode),
+            }
+        })
+        .collect();
+    (entries, priced)
+}
+
+/// Positions (into `candidates`) of the `k` best of the first
+/// `lambdas.len()` candidates, best first, in the order a stable sort
+/// of their alignments would give: λ (`total_cmp`), then
+/// [`content_cmp`], then candidate order. A λ-only partition finds the
+/// cutoff, so only candidates at or below it reach the content
+/// comparison, and only the `k` kept are fully sorted.
+fn select_best<I: IndexLike + ?Sized>(
+    index: &I,
+    candidates: &[PathId],
+    lambdas: Vec<f64>,
+    k: usize,
+) -> Vec<usize> {
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut kept: Vec<(f64, usize)> = lambdas.into_iter().zip(0..).collect();
+    if k < kept.len() {
+        let (_, &mut (cutoff, _), _) =
+            kept.select_nth_unstable_by(k - 1, |a, b| a.0.total_cmp(&b.0));
+        kept.retain(|&(lambda, _)| lambda.total_cmp(&cutoff).is_le());
+    }
+    let order = |a: &(f64, usize), b: &(f64, usize)| {
+        a.0.total_cmp(&b.0)
+            .then_with(|| content_cmp(index, candidates[a.1], candidates[b.1]))
+            .then(a.1.cmp(&b.1))
+    };
+    if k < kept.len() {
+        kept.select_nth_unstable_by(k - 1, order);
+        kept.truncate(k);
+    }
+    kept.sort_unstable_by(order);
+    kept.into_iter().map(|(_, i)| i).collect()
+}
+
+/// λ of each candidate, in candidate order, polling `budget` every
+/// [`ALIGN_CHECK_INTERVAL`]-th candidate (the first is always polled);
+/// stops early — returning the λs priced so far — once it expires.
+fn price_candidates<I: IndexLike + ?Sized>(
+    q: &QueryPath,
+    index: &I,
+    considered: &[PathId],
+    params: &ScoreParams,
+    mode: AlignmentMode,
+    budget: &QueryBudget,
+) -> Vec<f64> {
+    let mut scratch = AlignScratch::default();
+    let mut lambdas = Vec::with_capacity(considered.len());
+    for (i, &pid) in considered.iter().enumerate() {
+        if i % ALIGN_CHECK_INTERVAL == 0 && budget.exceeded().is_some() {
+            break;
+        }
+        lambdas.push(align_lambda(
+            q,
+            index.labels(pid),
+            params,
+            mode,
+            &mut scratch,
+        ));
+    }
+    lambdas
+}
+
+/// [`price_candidates`] over contiguous chunks on scoped worker
+/// threads, concatenated in candidate order — the same λ list.
+fn price_candidates_parallel<I: IndexLike + Sync + ?Sized>(
+    q: &QueryPath,
+    index: &I,
+    considered: &[PathId],
+    params: &ScoreParams,
+    mode: AlignmentMode,
+    config: &ClusterConfig,
+) -> Vec<f64> {
+    let unlimited = QueryBudget::unlimited();
     let per_worker = config.parallel_threshold.max(1);
     let threads = worker_count(considered.len() / per_worker);
     if threads < 2 {
-        return align_candidates(q, index, considered, params, mode);
+        return price_candidates(q, index, considered, params, mode, &unlimited);
     }
     let chunk_len = considered.len().div_ceil(threads);
-    let mut merged: Vec<ClusterEntry> = Vec::with_capacity(considered.len());
+    let mut lambdas = Vec::with_capacity(considered.len());
     std::thread::scope(|scope| {
         let handles: Vec<_> = considered
             .chunks(chunk_len)
             .map(|chunk| {
-                scope.spawn(move || {
-                    let mut entries = align_candidates(q, index, chunk, params, mode);
-                    entries.sort_by(|x, y| entry_cmp(index, x, y));
-                    entries.truncate(config.max_cluster_size);
-                    entries
-                })
+                let unlimited = &unlimited;
+                scope.spawn(move || price_candidates(q, index, chunk, params, mode, unlimited))
             })
             .collect();
         for handle in handles {
             // Preserve the worker's panic payload (e.g. an injected
             // fault's message) instead of replacing it with a generic
             // `.expect` string — the batch pool's isolation reports it.
-            merged.extend(
+            lambdas.extend(
                 handle
                     .join()
                     .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
             );
         }
     });
-    merged
+    lambdas
 }
 
 /// The paper's retrieval rule, extended into a cascade so approximate
@@ -698,7 +733,7 @@ fn retrieve_candidates<I: IndexLike>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qpath::decompose_query;
+    use crate::qpath::{apply_ic_weights, decompose_query};
     use path_index::PathIndex;
     use path_index::{ExtractionConfig, NoSynonyms, Thesaurus};
     use rdf_model::{DataGraph, QueryGraph};
@@ -1140,6 +1175,123 @@ mod tests {
         // return an empty cluster.
         assert_eq!(exact[0].entries, lsh[0].entries);
         assert_eq!(lsh[0].lsh_pruned, 0);
+    }
+
+    /// Paths of three shapes into one `"HC"` sink: amendment chains,
+    /// direct sponsorships, and chains with a foreign first edge. The
+    /// two query paths see long runs of equal λ among them.
+    fn tie_setup() -> (PathIndex, Vec<QueryPath>) {
+        let mut b = DataGraph::builder();
+        for i in 0..48 {
+            let (person, amendment, bill) = (format!("P{i}"), format!("A{i}"), format!("B{i}"));
+            match i % 3 {
+                0 => {
+                    b.triple_str(&person, "sponsor", &amendment).unwrap();
+                    b.triple_str(&amendment, "aTo", &bill).unwrap();
+                }
+                1 => {
+                    b.triple_str(&person, "sponsor", &bill).unwrap();
+                }
+                _ => {
+                    b.triple_str(&person, "cosponsor", &amendment).unwrap();
+                    b.triple_str(&amendment, "aTo", &bill).unwrap();
+                }
+            }
+            b.triple_str(&bill, "subject", "\"HC\"").unwrap();
+        }
+        let index = PathIndex::build(b.build());
+        let mut qb = QueryGraph::builder();
+        qb.triple_str("P0", "sponsor", "?v1").unwrap();
+        qb.triple_str("?v1", "aTo", "?v2").unwrap();
+        qb.triple_str("?v2", "subject", "\"HC\"").unwrap();
+        qb.triple_str("?v3", "sponsor", "?v2").unwrap();
+        let qpaths = decompose_query(
+            &qb.build(),
+            index.graph().vocab(),
+            &NoSynonyms,
+            &ExtractionConfig::default(),
+        );
+        (index, qpaths)
+    }
+
+    /// The cluster fill the bounded selection replaces: align every
+    /// candidate, stable-sort by λ then path content, truncate.
+    fn reference_fill(
+        q: &QueryPath,
+        index: &PathIndex,
+        considered: &[PathId],
+        mode: AlignmentMode,
+        k: usize,
+    ) -> Vec<ClusterEntry> {
+        let params = ScoreParams::paper();
+        let mut entries: Vec<ClusterEntry> = considered
+            .iter()
+            .map(|&pid| ClusterEntry {
+                path_id: pid,
+                alignment: align(q, index.labels(pid), &params, mode),
+            })
+            .collect();
+        entries.sort_by(|x, y| {
+            x.lambda()
+                .total_cmp(&y.lambda())
+                .then_with(|| content_cmp(index, x.path_id, y.path_id))
+        });
+        entries.truncate(k);
+        entries
+    }
+
+    #[test]
+    fn bounded_fill_matches_align_all_sort_truncate() {
+        let (index, mut qpaths) = tie_setup();
+        let mut weighted = qpaths.clone();
+        apply_ic_weights(&mut weighted, index.graph().vocab(), index.ic_table());
+        // Reversed retrieval order plus repeats, so candidate order
+        // disagrees with content order and exact duplicates tie.
+        let considered = |q: &QueryPath| {
+            let retrieved = retrieve_candidates(q, &index, &NoSynonyms, &ClusterConfig::default());
+            let mut considered: Vec<PathId> = retrieved.iter().rev().copied().collect();
+            considered.extend_from_slice(&retrieved[..5]);
+            considered
+        };
+        let generous = QueryBudget::deadline(std::time::Duration::from_secs(3600));
+        let unlimited = QueryBudget::unlimited();
+        let mut ties = 0;
+        for q in qpaths.iter_mut().chain(weighted.iter_mut()) {
+            let considered = considered(q);
+            let n = considered.len();
+            for mode in [AlignmentMode::Greedy, AlignmentMode::Optimal] {
+                let all = reference_fill(q, &index, &considered, mode, n);
+                ties += all
+                    .windows(2)
+                    .filter(|w| w[0].lambda() == w[1].lambda())
+                    .count();
+                for k in [0, 1, 2, n - 1, n, n + 1] {
+                    let expected = reference_fill(q, &index, &considered, mode, k);
+                    for (parallel, budget) in
+                        [(false, &unlimited), (false, &generous), (true, &unlimited)]
+                    {
+                        let config = ClusterConfig {
+                            max_cluster_size: k,
+                            parallel_alignment: parallel,
+                            parallel_threshold: 1,
+                            ..Default::default()
+                        };
+                        let (entries, priced) = fill_cluster(
+                            q,
+                            &index,
+                            &considered,
+                            &ScoreParams::paper(),
+                            mode,
+                            &config,
+                            budget,
+                        );
+                        assert_eq!(priced, n);
+                        assert_eq!(entries, expected, "{mode:?} k={k} parallel={parallel}");
+                    }
+                }
+            }
+        }
+        assert!(ties > 100, "fixture must exercise λ ties, saw {ties}");
     }
 
     #[test]

@@ -723,8 +723,11 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
                 break;
             }
             obs::counter_add("cluster.synonym_probes_total", 1);
-            let widened =
-                widen_with_synonyms(&query_paths[i], self.index.data().vocab(), provider.as_ref());
+            let widened = widen_with_synonyms(
+                &query_paths[i],
+                self.index.data().vocab(),
+                provider.as_ref(),
+            );
             let mut rebuilt = build_clusters(
                 std::slice::from_ref(&widened),
                 &self.index,

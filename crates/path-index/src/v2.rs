@@ -810,9 +810,7 @@ impl<'a> IndexView<'a> {
         if l.has_ic {
             let mut sum = 0u64;
             for &c in &self.ic_counts[1..] {
-                sum = sum
-                    .checked_add(c)
-                    .ok_or(corrupt("ic counts overflow"))?;
+                sum = sum.checked_add(c).ok_or(corrupt("ic counts overflow"))?;
             }
             if sum != self.ic_counts[0] {
                 return Err(corrupt("ic counts checksum mismatch"));

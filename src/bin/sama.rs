@@ -180,8 +180,7 @@ fn synonyms_requested(flag: &Option<String>) -> Option<String> {
 /// Load and share a synonym table for `SamaEngine::relax_synonyms`. A
 /// missing or malformed file is a one-line diagnostic, not a panic.
 fn load_thesaurus(path: &str) -> Result<std::sync::Arc<Thesaurus>, String> {
-    let thesaurus =
-        Thesaurus::from_file(std::path::Path::new(path)).map_err(|e| e.to_string())?;
+    let thesaurus = Thesaurus::from_file(std::path::Path::new(path)).map_err(|e| e.to_string())?;
     Ok(std::sync::Arc::new(thesaurus))
 }
 
