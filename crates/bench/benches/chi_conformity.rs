@@ -1,6 +1,6 @@
 //! χ conformity throughput: the seed's hash-set intersection vs the
-//! sorted-node merge-intersection vs the query-scoped [`ChiCache`], plus
-//! the combination search (clusters pre-built) with the cache on vs off.
+//! sorted-node merge-intersection the search uses, plus the top-10
+//! combination search (clusters pre-built) on two workload queries.
 //!
 //! Besides the criterion timings, a machine-readable baseline is
 //! written to `results/BENCH_chi.json` (override the location with
@@ -11,8 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use path_index::{ExtractionConfig, PathId};
 use sama_core::{
     build_clusters, chi_count, chi_count_sorted, decompose_query, search_top_k, AlignmentMode,
-    ChiCache, Cluster, ClusterConfig, IntersectionGraph, QueryPath, ScoreParams, SearchConfig,
-    SearchOutcome,
+    Cluster, ClusterConfig, IntersectionGraph, QueryPath, ScoreParams, SearchConfig, SearchOutcome,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -55,19 +54,7 @@ fn sweep_sorted(index: &path_index::PathIndex, ids: &[PathId]) -> usize {
     acc
 }
 
-fn sweep_cached(index: &path_index::PathIndex, ids: &[PathId], chi: &mut ChiCache) -> usize {
-    let mut acc = 0usize;
-    for &a in ids {
-        for &b in ids {
-            acc += chi.chi_count(index, a, b);
-        }
-    }
-    acc
-}
-
-/// All three χ evaluation strategies over the same ordered-pair sweep.
-/// The cached variant keeps its cache warm across iterations — the
-/// steady state of a search that re-prices the same pairs.
+/// Both χ evaluation strategies over the same ordered-pair sweep.
 fn bench_chi_strategies(c: &mut Criterion) {
     let fx = fixture(3_000);
     let index = fx.engine.index();
@@ -81,17 +68,6 @@ fn bench_chi_strategies(c: &mut Criterion) {
     });
     group.bench_function("sorted_merge", |b| {
         b.iter(|| black_box(sweep_sorted(index, &ids)))
-    });
-    let mut chi = ChiCache::new();
-    sweep_cached(index, &ids, &mut chi); // warm: every pair memoized
-    group.bench_function("cached_warm", |b| {
-        b.iter(|| black_box(sweep_cached(index, &ids, &mut chi)))
-    });
-    group.bench_function("cached_cold", |b| {
-        b.iter(|| {
-            let mut chi = ChiCache::new();
-            black_box(sweep_cached(index, &ids, &mut chi))
-        })
     });
     group.finish();
 }
@@ -128,7 +104,7 @@ fn prepare(fx: &bench::BenchFixture, name: &str) -> Prepared {
     }
 }
 
-fn run_search(fx: &bench::BenchFixture, p: &Prepared, config: &SearchConfig) -> SearchOutcome {
+fn run_search(fx: &bench::BenchFixture, p: &Prepared) -> SearchOutcome {
     search_top_k(
         &p.qpaths,
         &p.ig,
@@ -136,26 +112,20 @@ fn run_search(fx: &bench::BenchFixture, p: &Prepared, config: &SearchConfig) -> 
         fx.engine.index(),
         &ScoreParams::paper(),
         10,
-        config,
+        &SearchConfig::default(),
     )
 }
 
-/// Top-10 combination search in isolation, χ cache on vs off.
-fn bench_search_cache(c: &mut Criterion) {
+/// Top-10 combination search in isolation.
+fn bench_search(c: &mut Criterion) {
     let fx = fixture(3_000);
-    let mut group = c.benchmark_group("search_chi_cache");
+    let mut group = c.benchmark_group("search_top10");
     group.sample_size(20);
     for name in ["Q5", "Q10"] {
         let prepared = prepare(&fx, name);
-        for (label, use_chi_cache) in [("on", true), ("off", false)] {
-            let config = SearchConfig {
-                use_chi_cache,
-                ..Default::default()
-            };
-            group.bench_function(BenchmarkId::new(name, label), |b| {
-                b.iter(|| black_box(run_search(&fx, &prepared, &config)).answers.len());
-            });
-        }
+        group.bench_function(BenchmarkId::from_parameter(name), |b| {
+            b.iter(|| black_box(run_search(&fx, &prepared)).answers.len());
+        });
     }
     group.finish();
 }
@@ -182,42 +152,32 @@ fn emit_baseline() {
 
     let hash_ns = time_ns(9, || sweep_hash(index, &ids));
     let sorted_ns = time_ns(9, || sweep_sorted(index, &ids));
-    let mut warm = ChiCache::new();
-    sweep_cached(index, &ids, &mut warm);
-    let cached_ns = time_ns(9, || sweep_cached(index, &ids, &mut warm));
 
     let mut search_rows = String::new();
     for name in ["Q5", "Q10"] {
         let prepared = prepare(&fx, name);
-        let on_cfg = SearchConfig::default();
-        let off_cfg = SearchConfig {
-            use_chi_cache: false,
-            ..Default::default()
-        };
-        let on_ns = time_ns(9, || run_search(&fx, &prepared, &on_cfg).answers.len());
-        let off_ns = time_ns(9, || run_search(&fx, &prepared, &off_cfg).answers.len());
-        let stats = run_search(&fx, &prepared, &on_cfg).chi_stats;
+        let ns = time_ns(9, || run_search(&fx, &prepared).answers.len());
+        let outcome = run_search(&fx, &prepared);
+        let c = outcome.counters;
         if !search_rows.is_empty() {
             search_rows.push_str(",\n");
         }
         search_rows.push_str(&format!(
-            "    \"{name}\": {{\"cache_on_ns\": {on_ns}, \"cache_off_ns\": {off_ns}, \
-             \"chi_lookups\": {}, \"chi_hit_rate\": {:.4}}}",
-            stats.lookups(),
-            stats.hit_rate()
+            "    \"{name}\": {{\"ns\": {ns}, \"expansions\": {}, \"pushes\": {}, \
+             \"reinserts\": {}, \"chi_lookups\": {}, \"peak_frontier\": {}}}",
+            outcome.expansions, c.pushes, c.reinserts, c.chi_lookups, c.peak_frontier
         ));
     }
 
     let json = format!(
         "{{\n  \"fixture_triples\": 3000,\n  \"hardware_threads\": {},\n  \
          \"pair_pool\": {},\n  \"pair_lookups\": {lookups},\n  \
-         \"chi_ns_per_lookup\": {{\n    \"hash_set\": {:.1},\n    \"sorted_merge\": {:.1},\n    \
-         \"cached_warm\": {:.1}\n  }},\n  \"search_top10\": {{\n{search_rows}\n  }}\n}}\n",
+         \"chi_ns_per_lookup\": {{\n    \"hash_set\": {:.1},\n    \"sorted_merge\": {:.1}\n  \
+         }},\n  \"search_top10\": {{\n{search_rows}\n  }}\n}}\n",
         sama_obs::hardware_threads(),
         ids.len(),
         hash_ns as f64 / lookups as f64,
         sorted_ns as f64 / lookups as f64,
-        cached_ns as f64 / lookups as f64,
     );
 
     let out = std::env::var("BENCH_CHI_OUT").unwrap_or_else(|_| {
@@ -244,7 +204,7 @@ fn bench_emit_baseline(_c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_chi_strategies,
-    bench_search_cache,
+    bench_search,
     bench_emit_baseline
 );
 criterion_main!(benches);

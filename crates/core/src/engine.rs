@@ -3,7 +3,6 @@
 
 use crate::align::AlignmentMode;
 use crate::answer::Answer;
-use crate::chi_cache::{ChiCacheStats, SharedChiCache};
 use crate::cluster::{
     build_clusters, build_clusters_budgeted, build_clusters_parallel, parallel_default, Cluster,
     ClusterConfig, ClusterTier,
@@ -15,7 +14,9 @@ use crate::params::ScoreParams;
 use crate::qpath::{
     apply_ic_weights, decompose_query, decompose_query_checked, widen_with_synonyms, QueryPath,
 };
-use crate::search::{search_top_k_budgeted, SearchConfig, SearchStream, TruncationReason};
+use crate::search::{
+    search_top_k_budgeted, SearchConfig, SearchCounters, SearchStream, TruncationReason,
+};
 use crate::trace::{ExplainTrace, TraceConfig};
 use path_index::{
     ExtractionConfig, IcTable, IndexLike, NoSynonyms, PathIndex, ShardedIndex, SynonymProvider,
@@ -170,10 +171,6 @@ pub struct QueryTimings {
     pub clustering: Duration,
     /// Top-k combination search.
     pub search: Duration,
-    /// Time spent computing `χ` inside the search (a sub-measure of
-    /// [`QueryTimings::search`], *not* an additional phase — excluded
-    /// from [`QueryTimings::total`]).
-    pub chi: Duration,
 }
 
 impl QueryTimings {
@@ -209,9 +206,8 @@ pub struct QueryResult {
     pub truncation: Option<TruncationReason>,
     /// Phase timings.
     pub timings: QueryTimings,
-    /// χ-cache counters of the combination search (see
-    /// [`crate::ChiCache`]).
-    pub chi_stats: ChiCacheStats,
+    /// Work counters of the combination search.
+    pub search_counters: SearchCounters,
     /// The EXPLAIN trace, when [`EngineConfig::trace`] is enabled.
     pub trace: Option<ExplainTrace>,
 }
@@ -299,10 +295,6 @@ pub struct SamaEngine<I: IndexLike = PathIndex> {
     synonyms: Arc<dyn SynonymProvider>,
     params: ScoreParams,
     config: EngineConfig,
-    /// Optional cross-query χ memo shared by every query (and every
-    /// batch worker) on this engine. `None` (the default) keeps the
-    /// query-scoped cache of single-shot runs.
-    shared_chi: Option<Arc<SharedChiCache>>,
     /// Thesaurus consulted by the synonym relaxation tier for thin
     /// clusters. Distinct from [`SamaEngine::with_synonyms`], which
     /// widens *every* query up front — this one is consulted only when
@@ -362,7 +354,6 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
             synonyms: Arc::new(NoSynonyms),
             params: ScoreParams::paper(),
             config,
-            shared_chi: None,
             relax: None,
             ic_override: None,
         }
@@ -403,21 +394,6 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
         self.ic_override = Some(table);
         self.config.ic_weights = true;
         self
-    }
-
-    /// Install a cross-query shared χ cache (builder style): every
-    /// query answered by this engine — and every worker of
-    /// [`SamaEngine::answer_batch`](crate::batch) — reads and feeds the
-    /// same lock-striped memo. Answers and scores are unaffected; see
-    /// [`SharedChiCache`].
-    pub fn with_shared_chi_cache(mut self, cache: Arc<SharedChiCache>) -> Self {
-        self.shared_chi = Some(cache);
-        self
-    }
-
-    /// The installed cross-query χ cache, if any.
-    pub fn shared_chi_cache(&self) -> Option<&Arc<SharedChiCache>> {
-        self.shared_chi.as_ref()
     }
 
     /// The underlying index.
@@ -481,14 +457,13 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
             )
         };
         self.relax_thin_clusters(&mut query_paths, &mut clusters, &QueryBudget::unlimited());
-        SearchStream::with_shared_chi(
+        SearchStream::new(
             query_paths,
             intersection_graph,
             clusters,
             &self.index,
             self.params,
             self.config.search,
-            self.shared_chi.clone(),
         )
     }
 
@@ -614,7 +589,6 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
             &self.params,
             k,
             &self.config.search,
-            self.shared_chi.clone(),
             budget,
         );
         let search = search_span.finish();
@@ -625,7 +599,6 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
             preprocessing,
             clustering,
             search,
-            chi: outcome.chi_stats.chi_time,
         };
         self.flush_query_metrics(&outcome, &timings, retrieved_paths);
         // The slow-query log needs the EXPLAIN trace even when tracing
@@ -666,7 +639,7 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
             truncated,
             truncation: outcome.truncation,
             timings,
-            chi_stats: outcome.chi_stats,
+            search_counters: outcome.counters,
             trace,
         }
     }
@@ -749,9 +722,9 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
         }
     }
 
-    /// Flush the query's local aggregates (search counters, χ-cache
-    /// stats, timings) to the global metrics registry — once per query,
-    /// so the search hot loop itself never touches an atomic.
+    /// Flush the query's local aggregates (search counters, timings) to
+    /// the global metrics registry — once per query, so the search hot
+    /// loop itself never touches an atomic.
     fn flush_query_metrics(
         &self,
         outcome: &crate::SearchOutcome,
@@ -780,11 +753,6 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
             }
             None => {}
         }
-        let chi = outcome.chi_stats;
-        obs::counter_add("chi.query_hits_total", chi.hits);
-        obs::counter_add("chi.shared_hits_total", chi.shared_hits);
-        obs::counter_add("chi.misses_total", chi.misses);
-        obs::observe_duration("chi.compute_ns", chi.chi_time);
         obs::observe_duration("query.total_ns", timings.total());
         obs::rolling_observe_duration("query.total_ns", timings.total());
         // Registered with 0 so the series exists from the first query,
@@ -793,9 +761,6 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
             "query.slo_violations_total",
             u64::from(timings.total() > slo_default()),
         );
-        if let Some(shared) = &self.shared_chi {
-            shared.publish_metrics();
-        }
     }
 
     /// The degraded result of a budget that was already expired when
@@ -821,7 +786,7 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
             expansions: 0,
             truncated: true,
             truncation: Some(reason),
-            chi_stats: ChiCacheStats::default(),
+            counters: SearchCounters::default(),
         };
         let slow_threshold = obs::slowlog::global()
             .threshold()
@@ -858,7 +823,7 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
             truncated: true,
             truncation: Some(reason),
             timings,
-            chi_stats: ChiCacheStats::default(),
+            search_counters: SearchCounters::default(),
             trace,
         }
     }
@@ -1089,7 +1054,12 @@ mod tests {
 
     #[test]
     fn slow_queries_are_captured_with_truncation_and_trace() {
-        let engine = SamaEngine::new(figure1_data());
+        // Tracing explicitly off: `SAMA_TRACE=1` flips the default on.
+        let config = EngineConfig {
+            trace: TraceConfig::disabled(),
+            ..Default::default()
+        };
+        let engine = SamaEngine::with_config(figure1_data(), config);
         let log = obs::slowlog::global();
         // Threshold 0 captures every query; other tests run concurrently
         // against the same global log, so assertions filter by query_id.

@@ -24,19 +24,25 @@
 //! the *monotone emission* property behind the paper's reciprocal-rank
 //! experiment — while the frontier stays linear in the number of pops
 //! instead of multiplying by cluster width.
+//!
+//! States live in an arena as parent-pointer nodes (a child or sibling
+//! shares its prefix with the state it came from, so a push stores one
+//! choice, not a prefix copy). Every frontier insertion appends a node,
+//! so a node's id is its insertion sequence number and the frontier
+//! heap holds nothing but one packed integer key per entry; a popped
+//! state's prefix is decoded once into a reused buffer. `|χ|` is a merge over the index's sorted node
+//! sets, computed directly on every use.
 
 use crate::answer::{Answer, ChosenPath};
-use crate::chi_cache::{ChiCache, ChiCacheStats, SharedChiCache};
 use crate::cluster::Cluster;
 use crate::deadline::QueryBudget;
 use crate::igraph::IntersectionGraph;
 use crate::params::ScoreParams;
 use crate::qpath::QueryPath;
-use crate::score::{PairConformity, ScoreBreakdown};
+use crate::score::{chi_count_sorted, PairConformity, ScoreBreakdown};
 use path_index::IndexLike;
-use std::cmp::Ordering;
+use std::borrow::Cow;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 /// Limits for the combination search.
 #[derive(Debug, Clone, Copy)]
@@ -53,11 +59,6 @@ pub struct SearchConfig {
     /// An answer-construction improvement the paper lists as future
     /// work; off by default to match the paper's enumeration.
     pub distinct_paths: bool,
-    /// Memoize `|χ|` per unordered data-path pair for the lifetime of
-    /// the search (see [`ChiCache`]). Purely an optimization — answers
-    /// and scores are identical either way; disable only for A/B
-    /// measurement.
-    pub use_chi_cache: bool,
 }
 
 impl Default for SearchConfig {
@@ -66,7 +67,6 @@ impl Default for SearchConfig {
             max_expansions: 200_000,
             max_frontier: 1 << 20,
             distinct_paths: false,
-            use_chi_cache: true,
         }
     }
 }
@@ -104,6 +104,24 @@ impl TruncationReason {
     }
 }
 
+/// Work counters of one search: plain integer increments in the
+/// expansion loop, no clock reads. Reported in the EXPLAIN trace as
+/// `"search":{…}`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchCounters {
+    /// New states put on the frontier (children and siblings).
+    pub pushes: u64,
+    /// Popped states put back on the frontier: with their own bound
+    /// after a sibling bound set their priority, or on a budget or
+    /// expansion-limit stop.
+    pub reinserts: u64,
+    /// `|χ|` merge-intersections computed (pricing, answer
+    /// materialization and the greedy fill).
+    pub chi_lookups: u64,
+    /// Largest frontier size reached.
+    pub peak_frontier: u64,
+}
+
 /// The search result.
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
@@ -119,11 +137,14 @@ pub struct SearchOutcome {
     /// Which limit stopped the search (`None` while `truncated` is
     /// `false`).
     pub truncation: Option<TruncationReason>,
-    /// χ-cache counters and compute time for this search.
-    pub chi_stats: ChiCacheStats,
+    /// Pushes, re-inserts, χ lookups and peak frontier of this search.
+    pub counters: SearchCounters,
 }
 
-/// A frontier state: the first `choices.len()` clusters are assigned.
+/// A frontier state in the arena: clusters `0..depth` are assigned, the
+/// last one to `choice`; the earlier choices are found by following
+/// `parent`. A re-inserted state is appended again as a copy, so node
+/// ids follow insertion order.
 ///
 /// A state *covers* two sets of assignments: the completions of its own
 /// prefix, and (until the sibling is pushed) the subtree where its last
@@ -131,53 +152,88 @@ pub struct SearchOutcome {
 /// the minimum of the two subtrees' lower bounds; popping a state whose
 /// priority came from the sibling bound pushes the sibling and
 /// re-inserts the state with its own (tighter) bound.
-#[derive(Debug, Clone)]
-struct State {
-    /// Entry index per assigned cluster; `u32::MAX` encodes deletion
-    /// (only used for empty clusters).
-    choices: Vec<u32>,
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// Arena id of the state assigning clusters `0..depth - 1`
+    /// ([`ROOT`] at depth 1).
+    parent: u32,
+    /// Entry index for cluster `depth - 1`; [`DELETED`] encodes
+    /// deletion (only used for empty clusters).
+    choice: u32,
+    depth: u32,
+    /// `true` once the sibling subtree has its own heap entry.
+    sibling_pushed: bool,
     /// Exact cost of the prefix *excluding* the last choice — the
     /// sibling successor re-prices only the last slot.
     g_before_last: f64,
     /// Exact cost of the assigned prefix (Λ + Ψ among assigned).
     g: f64,
-    /// `true` once the sibling subtree has its own heap entry.
-    sibling_pushed: bool,
-}
-
-struct QueueItem {
-    state: State,
-    /// The admissible priority this item was inserted with.
-    priority: f64,
-    seq: u64,
-}
-
-impl PartialEq for QueueItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for QueueItem {}
-impl PartialOrd for QueueItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueueItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse for min-priority. Among
-        // equal priorities prefer *deeper* states (drive toward
-        // completion instead of fanning out shallow siblings), then
-        // older insertions for determinism.
-        other
-            .priority
-            .total_cmp(&self.priority)
-            .then_with(|| self.state.choices.len().cmp(&other.state.choices.len()))
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 const DELETED: u32 = u32::MAX;
+const ROOT: u32 = u32::MAX;
+
+/// Map `x` to a `u64` whose unsigned order is [`f64::total_cmp`]'s.
+#[inline]
+fn total_order_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The inverse of [`total_order_bits`].
+#[inline]
+fn from_total_order_bits(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
+/// The frontier entry of arena node `id` as one integer, largest first
+/// (`BinaryHeap` is a max-heap): lowest priority (`total_cmp`), then
+/// *deeper* states (drive toward completion instead of fanning out
+/// shallow siblings), then older insertions (smaller ids). The high
+/// word is the inverted total-order priority; the low word packs the
+/// depth above the inverted id.
+#[inline]
+fn pack_key(priority: f64, depth: u32, id: u32) -> u128 {
+    let low = u64::from(depth) << 32 | u64::from(!id);
+    (u128::from(!total_order_bits(priority)) << 64) | u128::from(low)
+}
+
+/// The priority a key was packed with.
+#[inline]
+fn key_priority(key: u128) -> f64 {
+    from_total_order_bits(!((key >> 64) as u64))
+}
+
+/// The arena id a key was packed with.
+#[inline]
+fn key_node(key: u128) -> u32 {
+    !(key as u32)
+}
+
+/// Write the choices of arena state `id` (of `depth` assigned clusters)
+/// into `out`, which ends up exactly `depth` long.
+fn decode_choices(nodes: &[Node], mut id: u32, depth: usize, out: &mut Vec<u32>) {
+    out.resize(depth, 0);
+    for slot in out.iter_mut().rev() {
+        let node = &nodes[id as usize];
+        *slot = node.choice;
+        id = node.parent;
+    }
+}
+
+/// A state drained from the frontier for the anytime greedy fill.
+struct Partial {
+    choices: Vec<u32>,
+    g: f64,
+}
 
 /// Expansion pops between polls of an attached [`QueryBudget`] (the
 /// first pop always polls, so an already-expired budget does no work).
@@ -186,32 +242,32 @@ const DELETED: u32 = u32::MAX;
 pub const BUDGET_CHECK_INTERVAL: u32 = 16;
 
 /// A resumable combination search: answers pop lazily in
-/// non-decreasing score order. Owns the decomposition artefacts
-/// (`PQ`, IG, clusters) and borrows only the index, so it can outlive
-/// the call that created it.
+/// non-decreasing score order. Owns or borrows the decomposition
+/// artefacts (`PQ`, IG, clusters) and borrows the index.
 ///
 /// Obtained from [`crate::SamaEngine::answer_stream`] or built directly;
 /// [`search_top_k`] is the batch wrapper.
 pub struct SearchStream<'a, I: IndexLike> {
-    qpaths: Vec<QueryPath>,
-    ig: IntersectionGraph,
-    clusters: Vec<Cluster>,
+    qpaths: Cow<'a, [QueryPath]>,
+    ig: Cow<'a, IntersectionGraph>,
+    clusters: Cow<'a, [Cluster]>,
     index: &'a I,
     params: ScoreParams,
     config: SearchConfig,
     /// Suffix sums of per-cluster lower bounds.
     bound: Vec<f64>,
-    heap: BinaryHeap<QueueItem>,
-    seq: u64,
+    heap: BinaryHeap<u128>,
+    /// Every frontier insertion, in order; a node's prefix is its
+    /// parent chain.
+    nodes: Vec<Node>,
+    /// The choices of the state being expanded, decoded from the arena
+    /// once per pop and reused across pops.
+    prefix: Vec<u32>,
+    counters: SearchCounters,
     emitted_sets: Vec<Vec<u32>>,
     expansions: usize,
     truncated: bool,
     truncation: Option<TruncationReason>,
-    /// Query-scoped `|χ|` memo shared by every expansion.
-    chi: ChiCache,
-    /// Retired `choices` vectors, reused by later pushes so the steady
-    /// state of the expansion loop allocates nothing.
-    pool: Vec<Vec<u32>>,
     /// Deadline/cancellation budget; unlimited by default, in which
     /// case no clock is ever read.
     budget: QueryBudget,
@@ -230,21 +286,23 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
         params: ScoreParams,
         config: SearchConfig,
     ) -> Self {
-        Self::with_shared_chi(qpaths, ig, clusters, index, params, config, None)
+        Self::from_parts(
+            Cow::Owned(qpaths),
+            Cow::Owned(ig),
+            Cow::Owned(clusters),
+            index,
+            params,
+            config,
+        )
     }
 
-    /// Like [`SearchStream::new`], with the query-scoped χ cache backed
-    /// by a cross-query [`SharedChiCache`] tier (ignored when
-    /// [`SearchConfig::use_chi_cache`] is off). Answers are identical
-    /// either way — χ is a pure function of the path pair.
-    pub fn with_shared_chi(
-        qpaths: Vec<QueryPath>,
-        ig: IntersectionGraph,
-        clusters: Vec<Cluster>,
+    fn from_parts(
+        qpaths: Cow<'a, [QueryPath]>,
+        ig: Cow<'a, IntersectionGraph>,
+        clusters: Cow<'a, [Cluster]>,
         index: &'a I,
         params: ScoreParams,
         config: SearchConfig,
-        shared_chi: Option<Arc<SharedChiCache>>,
     ) -> Self {
         debug_assert_eq!(qpaths.len(), clusters.len());
         let n = clusters.len();
@@ -261,23 +319,19 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
             config,
             bound,
             heap: BinaryHeap::new(),
-            seq: 0,
+            nodes: Vec::new(),
+            prefix: Vec::new(),
+            counters: SearchCounters::default(),
             emitted_sets: Vec::new(),
             expansions: 0,
             truncated: false,
             truncation: None,
-            chi: match (config.use_chi_cache, shared_chi) {
-                (false, _) => ChiCache::disabled(),
-                (true, Some(shared)) => ChiCache::with_shared(shared),
-                (true, None) => ChiCache::new(),
-            },
-            pool: Vec::new(),
             budget: QueryBudget::unlimited(),
             budget_countdown: 0,
         };
         if n > 0 {
             let first = first_choice(&stream.clusters[0]);
-            stream.push_state(&[], 0.0, 0, first);
+            stream.push_state(ROOT, 0, 0.0, first);
         }
         stream
     }
@@ -311,6 +365,11 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
         self.expansions
     }
 
+    /// Pushes, re-inserts, χ lookups and peak frontier so far.
+    pub fn counters(&self) -> SearchCounters {
+        self.counters
+    }
+
     /// `true` once a limit has stopped the exact search (no further
     /// answers will be produced by [`SearchStream::next_answer`]).
     pub fn is_truncated(&self) -> bool {
@@ -327,11 +386,6 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
     fn mark_truncated(&mut self, reason: TruncationReason) {
         self.truncated = true;
         self.truncation.get_or_insert(reason);
-    }
-
-    /// χ-cache counters and compute time so far.
-    pub fn chi_stats(&self) -> ChiCacheStats {
-        self.chi.stats()
     }
 
     /// The sorted multiset of data paths an assignment uses (for
@@ -352,57 +406,60 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
         key
     }
 
-    /// The λ a state's *sibling* subtree cannot beat: the next entry's
-    /// λ with zero conformity penalty.
-    fn sibling_lower(&self, state: &State) -> Option<f64> {
-        let last_slot = state.choices.len() - 1;
-        let last_choice = state.choices[last_slot];
-        if last_choice == DELETED {
-            return None; // deletion has no successor entry
-        }
-        let next = last_choice as usize + 1;
-        let entries = &self.clusters[last_slot].entries;
-        if next >= entries.len() {
-            return None;
-        }
-        Some(state.g_before_last + entries[next].lambda() + self.bound[last_slot + 1])
+    /// Append `node` to the arena and put it on the frontier.
+    fn enqueue(&mut self, priority: f64, node: Node) {
+        let id = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&id| id != ROOT)
+            .expect("search arena exceeds u32 ids");
+        self.nodes.push(node);
+        self.heap.push(pack_key(priority, node.depth, id));
+        self.counters.peak_frontier = self.counters.peak_frontier.max(self.heap.len() as u64);
     }
 
-    /// Push the state `prefix ++ [choice]` for cluster index `slot`;
-    /// `g_prefix` is the exact cost of `prefix` alone.
-    fn push_state(&mut self, prefix: &[u32], g_prefix: f64, slot: usize, choice: u32) {
+    /// Push the state that extends arena state `parent` (whose choices
+    /// are `self.prefix[..slot]`, exact cost `g_prefix`) with `choice`
+    /// for cluster `slot`.
+    fn push_state(&mut self, parent: u32, slot: usize, g_prefix: f64, choice: u32) {
         let g = g_prefix
             + choice_cost(
-                prefix,
+                &self.prefix[..slot],
                 choice,
                 slot,
                 &self.ig,
                 &self.clusters,
                 self.index,
                 &self.params,
-                &mut self.chi,
+                &mut self.counters.chi_lookups,
             );
-        let mut choices = self.pool.pop().unwrap_or_default();
-        choices.clear();
-        choices.extend_from_slice(prefix);
-        choices.push(choice);
-        let state = State {
-            choices,
-            g_before_last: g_prefix,
-            g,
-            sibling_pushed: false,
-        };
         let own = g + self.bound[slot + 1];
-        let priority = match self.sibling_lower(&state) {
-            Some(sib) => own.min(sib),
-            None => own,
+        // The sibling subtree's bound: the next entry's λ with zero
+        // conformity penalty (deletion has no successor entry).
+        let entries = &self.clusters[slot].entries;
+        let next = choice as usize + 1;
+        let priority = if choice != DELETED && next < entries.len() {
+            own.min(g_prefix + entries[next].lambda() + self.bound[slot + 1])
+        } else {
+            own
         };
-        self.seq += 1;
-        self.heap.push(QueueItem {
-            state,
+        self.counters.pushes += 1;
+        self.enqueue(
             priority,
-            seq: self.seq,
-        });
+            Node {
+                parent,
+                choice,
+                depth: slot as u32 + 1,
+                sibling_pushed: false,
+                g_before_last: g_prefix,
+                g,
+            },
+        );
+    }
+
+    /// Put a popped state back under `priority` (a re-insert).
+    fn reinsert(&mut self, priority: f64, id: u32) {
+        self.counters.reinserts += 1;
+        self.enqueue(priority, self.nodes[id as usize]);
     }
 
     /// Produce the next answer in non-decreasing score order, or `None`
@@ -413,13 +470,9 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
         if n == 0 || self.truncated {
             return None;
         }
-        while let Some(QueueItem {
-            mut state,
-            priority,
-            ..
-        }) = self.heap.pop()
-        {
+        while let Some(key) = self.heap.pop() {
             sama_obs::fault::point("search.expand");
+            let (priority, id) = (key_priority(key), key_node(key));
             if !self.budget.is_unlimited() {
                 let due = self.budget_countdown == 0;
                 self.budget_countdown = if due {
@@ -431,12 +484,7 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
                     if let Some(reason) = self.budget.exceeded() {
                         // Put the state back so the anytime fallback can
                         // greedily complete the frontier.
-                        self.seq += 1;
-                        self.heap.push(QueueItem {
-                            state,
-                            priority,
-                            seq: self.seq,
-                        });
+                        self.reinsert(priority, id);
                         self.mark_truncated(reason);
                         return None;
                     }
@@ -444,50 +492,43 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
             }
             if self.expansions >= self.config.max_expansions {
                 // Put the state back so the anytime fallback can use it.
-                self.seq += 1;
-                self.heap.push(QueueItem {
-                    state,
-                    priority,
-                    seq: self.seq,
-                });
+                self.reinsert(priority, id);
                 self.mark_truncated(TruncationReason::ExpansionLimit);
                 return None;
             }
             self.expansions += 1;
 
-            let t = state.choices.len();
-            let own = state.g + self.bound[t];
+            let node = self.nodes[id as usize];
+            let t = node.depth as usize;
+            let own = node.g + self.bound[t];
+            let mut decoded = false;
 
             // Materialize the sibling subtree as its own heap entry (once).
-            if !state.sibling_pushed {
+            if !node.sibling_pushed {
                 let last_slot = t - 1;
-                let last_choice = state.choices[last_slot];
-                if last_choice != DELETED
-                    && (last_choice as usize + 1) < self.clusters[last_slot].entries.len()
+                if node.choice != DELETED
+                    && (node.choice as usize + 1) < self.clusters[last_slot].entries.len()
                 {
-                    // `state` was moved out of the heap, so its prefix
-                    // can be borrowed directly across the push.
-                    let (prefix, _) = state.choices.split_at(last_slot);
-                    self.push_state(prefix, state.g_before_last, last_slot, last_choice + 1);
+                    decode_choices(&self.nodes, id, t, &mut self.prefix);
+                    decoded = true;
+                    self.push_state(node.parent, last_slot, node.g_before_last, node.choice + 1);
                 }
-                state.sibling_pushed = true;
+                self.nodes[id as usize].sibling_pushed = true;
             }
 
             // If the sibling bound drove the priority, this state itself
             // is not yet proven minimal: re-insert with its own bound.
             if priority + 1e-12 < own {
-                self.seq += 1;
-                self.heap.push(QueueItem {
-                    state,
-                    priority: own,
-                    seq: self.seq,
-                });
+                self.reinsert(own, id);
                 continue;
             }
 
+            if !decoded {
+                decode_choices(&self.nodes, id, t, &mut self.prefix);
+            }
             if t == n {
                 let emit = if self.config.distinct_paths {
-                    let key = self.path_set_key(&state.choices);
+                    let key = self.path_set_key(&self.prefix);
                     if self.emitted_sets.contains(&key) {
                         false
                     } else {
@@ -498,26 +539,21 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
                     true
                 };
                 if emit {
-                    let answer = materialize(
-                        &state,
+                    return Some(materialize(
+                        &self.prefix,
+                        node.g,
                         &self.qpaths,
                         &self.ig,
                         &self.clusters,
                         self.index,
                         &self.params,
-                        &mut self.chi,
-                    );
-                    self.pool.push(state.choices);
-                    return Some(answer);
+                        &mut self.counters.chi_lookups,
+                    ));
                 }
-                self.pool.push(state.choices);
             } else {
-                // Child: assign the next cluster its best entry. The
-                // child copies the prefix out of `state` itself, so no
-                // intermediate clone is needed.
+                // Child: assign the next cluster its best entry.
                 let first = first_choice(&self.clusters[t]);
-                self.push_state(&state.choices, state.g, t, first);
-                self.pool.push(state.choices);
+                self.push_state(id, t, node.g, first);
             }
 
             if self.heap.len() > self.config.max_frontier {
@@ -528,30 +564,32 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
         None
     }
 
-    /// Drain up to `budget` frontier states (used by the batch
-    /// wrapper's anytime fill after truncation).
-    fn drain_frontier(&mut self, budget: usize) -> Vec<State> {
+    /// Drain up to `budget` frontier states, decoded into owned choices
+    /// (used by the batch wrapper's anytime fill after truncation).
+    fn drain_frontier(&mut self, budget: usize) -> Vec<Partial> {
         let mut frontier = Vec::with_capacity(budget);
         while frontier.len() < budget {
-            match self.heap.pop() {
-                Some(item) => frontier.push(item.state),
-                None => break,
-            }
+            let Some(key) = self.heap.pop() else { break };
+            let id = key_node(key);
+            let node = &self.nodes[id as usize];
+            let mut choices = Vec::new();
+            decode_choices(&self.nodes, id, node.depth as usize, &mut choices);
+            frontier.push(Partial { choices, g: node.g });
         }
         frontier
     }
 
-    /// Keep the best `keep` frontier items, recycling the rest.
+    /// Keep the best `keep` frontier items, dropping the rest (their
+    /// arena nodes stay: surviving states may descend from them).
     fn shrink_frontier(&mut self, keep: usize) {
-        let mut kept: Vec<QueueItem> = Vec::with_capacity(keep);
+        let mut kept: Vec<u128> = Vec::with_capacity(keep);
         for _ in 0..keep {
             match self.heap.pop() {
                 Some(item) => kept.push(item),
                 None => break,
             }
         }
-        self.pool
-            .extend(self.heap.drain().map(|item| item.state.choices));
+        self.heap.clear();
         self.heap.extend(kept);
     }
 
@@ -559,73 +597,60 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
     /// entry with the cheapest incremental cost) and append the
     /// results, deduplicated and sorted, to `outcome.answers` — the
     /// anytime fallback after truncation.
-    fn fill_greedy(&mut self, outcome: &mut SearchOutcome, frontier: Vec<State>, k: usize) {
+    fn fill_greedy(&mut self, outcome: &mut SearchOutcome, frontier: Vec<Partial>, k: usize) {
         let n = self.clusters.len();
-        let mut filled: Vec<State> = Vec::new();
+        let lookups = &mut self.counters.chi_lookups;
+        let mut filled: Vec<Partial> = Vec::new();
         for mut state in frontier {
             while state.choices.len() < n {
                 let slot = state.choices.len();
                 let cluster = &self.clusters[slot];
-                let (best_choice, best_cost) = if cluster.is_empty() {
-                    (
-                        DELETED,
-                        choice_cost(
-                            &state.choices,
-                            DELETED,
-                            slot,
-                            &self.ig,
-                            &self.clusters,
-                            self.index,
-                            &self.params,
-                            &mut self.chi,
-                        ),
+                let mut cost = |c: u32| {
+                    choice_cost(
+                        &state.choices,
+                        c,
+                        slot,
+                        &self.ig,
+                        &self.clusters,
+                        self.index,
+                        &self.params,
+                        lookups,
                     )
+                };
+                let (best_choice, best_cost) = if cluster.is_empty() {
+                    (DELETED, cost(DELETED))
                 } else {
                     // Entries are λ-sorted; scanning a bounded prefix finds
                     // a low-penalty choice without quadratic blowup.
                     (0..cluster.entries.len().min(32) as u32)
-                        .map(|c| {
-                            (
-                                c,
-                                choice_cost(
-                                    &state.choices,
-                                    c,
-                                    slot,
-                                    &self.ig,
-                                    &self.clusters,
-                                    self.index,
-                                    &self.params,
-                                    &mut self.chi,
-                                ),
-                            )
-                        })
+                        .map(|c| (c, cost(c)))
                         .min_by(|a, b| a.1.total_cmp(&b.1))
                         .expect("cluster is non-empty")
                 };
-                state.g_before_last = state.g;
                 state.g += best_cost;
                 state.choices.push(best_choice);
             }
             filled.push(state);
         }
         filled.sort_by(|a, b| a.g.total_cmp(&b.g));
-        let mut added: Vec<Vec<u32>> = Vec::new();
+        let mut added: Vec<&[u32]> = Vec::new();
         for state in &filled {
             if outcome.answers.len() >= k {
                 break;
             }
-            if added.contains(&state.choices) {
+            if added.contains(&state.choices.as_slice()) {
                 continue;
             }
-            added.push(state.choices.clone());
+            added.push(&state.choices);
             outcome.answers.push(materialize(
-                state,
+                &state.choices,
+                state.g,
                 &self.qpaths,
                 &self.ig,
                 &self.clusters,
                 self.index,
                 &self.params,
-                &mut self.chi,
+                lookups,
             ));
         }
     }
@@ -650,22 +675,6 @@ pub fn search_top_k<I: IndexLike>(
     k: usize,
     config: &SearchConfig,
 ) -> SearchOutcome {
-    search_top_k_with_shared_chi(qpaths, ig, clusters, index, params, k, config, None)
-}
-
-/// [`search_top_k`] with an optional cross-query [`SharedChiCache`]
-/// tier behind the query-scoped χ memo.
-#[allow(clippy::too_many_arguments)]
-pub fn search_top_k_with_shared_chi<I: IndexLike>(
-    qpaths: &[QueryPath],
-    ig: &IntersectionGraph,
-    clusters: &[Cluster],
-    index: &I,
-    params: &ScoreParams,
-    k: usize,
-    config: &SearchConfig,
-    shared_chi: Option<Arc<SharedChiCache>>,
-) -> SearchOutcome {
     search_top_k_budgeted(
         qpaths,
         ig,
@@ -674,16 +683,15 @@ pub fn search_top_k_with_shared_chi<I: IndexLike>(
         params,
         k,
         config,
-        shared_chi,
         &QueryBudget::unlimited(),
     )
 }
 
-/// [`search_top_k_with_shared_chi`] under a deadline/cancellation
-/// budget: when the budget expires mid-search, the answers emitted so
-/// far plus a greedy completion of the best frontier states are
-/// returned, flagged with the budget's [`TruncationReason`]. An
-/// unlimited budget adds zero cost (no clock is read).
+/// [`search_top_k`] under a deadline/cancellation budget: when the
+/// budget expires mid-search, the answers emitted so far plus a greedy
+/// completion of the best frontier states are returned, flagged with
+/// the budget's [`TruncationReason`]. An unlimited budget adds zero
+/// cost (no clock is read).
 #[allow(clippy::too_many_arguments)]
 pub fn search_top_k_budgeted<I: IndexLike>(
     qpaths: &[QueryPath],
@@ -693,7 +701,6 @@ pub fn search_top_k_budgeted<I: IndexLike>(
     params: &ScoreParams,
     k: usize,
     config: &SearchConfig,
-    shared_chi: Option<Arc<SharedChiCache>>,
     budget: &QueryBudget,
 ) -> SearchOutcome {
     let mut outcome = SearchOutcome {
@@ -701,19 +708,18 @@ pub fn search_top_k_budgeted<I: IndexLike>(
         expansions: 0,
         truncated: false,
         truncation: None,
-        chi_stats: ChiCacheStats::default(),
+        counters: SearchCounters::default(),
     };
     if clusters.is_empty() || k == 0 {
         return outcome;
     }
-    let mut stream = SearchStream::with_shared_chi(
-        qpaths.to_vec(),
-        ig.clone(),
-        clusters.to_vec(),
+    let mut stream = SearchStream::from_parts(
+        Cow::Borrowed(qpaths),
+        Cow::Borrowed(ig),
+        Cow::Borrowed(clusters),
         index,
         *params,
         *config,
-        shared_chi,
     )
     .with_budget(budget.clone());
     while outcome.answers.len() < k {
@@ -733,7 +739,7 @@ pub fn search_top_k_budgeted<I: IndexLike>(
         let frontier = stream.drain_frontier(budget);
         stream.fill_greedy(&mut outcome, frontier, k);
     }
-    outcome.chi_stats = stream.chi_stats();
+    outcome.counters = stream.counters();
     outcome
 }
 
@@ -758,7 +764,7 @@ fn choice_cost<I: IndexLike + ?Sized>(
     clusters: &[Cluster],
     index: &I,
     params: &ScoreParams,
-    chi: &mut ChiCache,
+    chi_lookups: &mut u64,
 ) -> f64 {
     let cluster = &clusters[slot];
     let mut cost = if choice == DELETED {
@@ -772,14 +778,21 @@ fn choice_cost<I: IndexLike + ?Sized>(
         if other >= prefix.len() {
             continue;
         }
-        let chi_p = pair_chi_p(prefix[other], other, choice, slot, clusters, index, chi);
+        let chi_p = pair_chi_p(
+            prefix[other],
+            other,
+            choice,
+            slot,
+            clusters,
+            index,
+            chi_lookups,
+        );
         cost += crate::score::conformity_penalty(edge.chi_q(), chi_p, params.e);
     }
     cost
 }
 
 /// `|χ(p_i, p_j)|` for two cluster choices (0 if either is deleted).
-#[allow(clippy::too_many_arguments)]
 fn pair_chi_p<I: IndexLike + ?Sized>(
     choice_a: u32,
     cluster_a: usize,
@@ -787,38 +800,42 @@ fn pair_chi_p<I: IndexLike + ?Sized>(
     cluster_b: usize,
     clusters: &[Cluster],
     index: &I,
-    chi: &mut ChiCache,
+    chi_lookups: &mut u64,
 ) -> usize {
     if choice_a == DELETED || choice_b == DELETED {
         return 0;
     }
+    *chi_lookups += 1;
     let pa = clusters[cluster_a].entries[choice_a as usize].path_id;
     let pb = clusters[cluster_b].entries[choice_b as usize].path_id;
-    chi.chi_count(index, pa, pb)
+    chi_count_sorted(index.sorted_nodes(pa), index.sorted_nodes(pb))
 }
 
+/// The answer for a complete assignment `choices` of exact cost `g`.
+#[allow(clippy::too_many_arguments)]
 fn materialize<I: IndexLike + ?Sized>(
-    state: &State,
+    choices: &[u32],
+    g: f64,
     qpaths: &[QueryPath],
     ig: &IntersectionGraph,
     clusters: &[Cluster],
     index: &I,
     params: &ScoreParams,
-    chi: &mut ChiCache,
+    chi_lookups: &mut u64,
 ) -> Answer {
     let mut lambda_total = 0.0;
-    let mut choices = Vec::with_capacity(state.choices.len());
-    for (i, &c) in state.choices.iter().enumerate() {
+    let mut chosen = Vec::with_capacity(choices.len());
+    for (i, &c) in choices.iter().enumerate() {
         if c == DELETED {
             lambda_total += clusters[i].deletion_lambda;
-            choices.push(ChosenPath {
+            chosen.push(ChosenPath {
                 qpath_index: qpaths[i].index,
                 entry: None,
             });
         } else {
             let entry = clusters[i].entries[c as usize].clone();
             lambda_total += entry.lambda();
-            choices.push(ChosenPath {
+            chosen.push(ChosenPath {
                 qpath_index: qpaths[i].index,
                 entry: Some(entry),
             });
@@ -828,24 +845,24 @@ fn materialize<I: IndexLike + ?Sized>(
     let mut psi_total = 0.0;
     for edge in &ig.edges {
         let chi_p = pair_chi_p(
-            state.choices[edge.qi],
+            choices[edge.qi],
             edge.qi,
-            state.choices[edge.qj],
+            choices[edge.qj],
             edge.qj,
             clusters,
             index,
-            chi,
+            chi_lookups,
         );
         let pair = PairConformity::evaluate(edge.qi, edge.qj, edge.chi_q(), chi_p, params.e);
         psi_total += pair.penalty;
         pairs.push(pair);
     }
     debug_assert!(
-        (lambda_total + psi_total - state.g).abs() < 1e-9,
+        (lambda_total + psi_total - g).abs() < 1e-9,
         "incremental cost must agree with the full evaluation"
     );
     Answer {
-        choices,
+        choices: chosen,
         breakdown: ScoreBreakdown {
             lambda_total,
             psi_total,
@@ -1199,5 +1216,543 @@ mod tests {
         assert_eq!(best.psi(), 0.0);
         assert_eq!(best.score(), 3.0);
         assert!(best.choices.iter().all(|c| c.entry.is_some()));
+    }
+
+    /// The search before the state arena: a `Vec` of choices per state
+    /// and the three-key `(priority, depth, seq)` comparator, χ computed
+    /// directly. The kernel must reproduce it push for push.
+    mod reference {
+        use super::super::*;
+        use std::cmp::Ordering;
+
+        struct State {
+            choices: Vec<u32>,
+            g_before_last: f64,
+            g: f64,
+            sibling_pushed: bool,
+        }
+
+        pub(super) struct QueueItem {
+            state: State,
+            priority: f64,
+            depth: usize,
+            seq: u64,
+        }
+
+        impl QueueItem {
+            /// A detached item for comparator tests.
+            pub(super) fn probe(priority: f64, depth: usize, seq: u64) -> Self {
+                QueueItem {
+                    state: State {
+                        choices: Vec::new(),
+                        g_before_last: 0.0,
+                        g: 0.0,
+                        sibling_pushed: false,
+                    },
+                    priority,
+                    depth,
+                    seq,
+                }
+            }
+        }
+
+        impl PartialEq for QueueItem {
+            fn eq(&self, other: &Self) -> bool {
+                self.cmp(other) == Ordering::Equal
+            }
+        }
+        impl Eq for QueueItem {}
+        impl PartialOrd for QueueItem {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+        impl Ord for QueueItem {
+            fn cmp(&self, other: &Self) -> Ordering {
+                other
+                    .priority
+                    .total_cmp(&self.priority)
+                    .then_with(|| self.depth.cmp(&other.depth))
+                    .then_with(|| other.seq.cmp(&self.seq))
+            }
+        }
+
+        struct Search<'a, I: IndexLike> {
+            qpaths: &'a [QueryPath],
+            ig: &'a IntersectionGraph,
+            clusters: &'a [Cluster],
+            index: &'a I,
+            params: ScoreParams,
+            config: SearchConfig,
+            bound: Vec<f64>,
+            heap: BinaryHeap<QueueItem>,
+            seq: u64,
+            emitted_sets: Vec<Vec<u32>>,
+            expansions: usize,
+            truncation: Option<TruncationReason>,
+            budget: QueryBudget,
+            budget_countdown: u32,
+            lookups: u64,
+        }
+
+        impl<I: IndexLike> Search<'_, I> {
+            fn push_item(&mut self, state: State, priority: f64) {
+                self.seq += 1;
+                self.heap.push(QueueItem {
+                    depth: state.choices.len(),
+                    state,
+                    priority,
+                    seq: self.seq,
+                });
+            }
+
+            fn push_state(&mut self, prefix: &[u32], g_prefix: f64, slot: usize, choice: u32) {
+                let g = g_prefix
+                    + choice_cost(
+                        prefix,
+                        choice,
+                        slot,
+                        self.ig,
+                        self.clusters,
+                        self.index,
+                        &self.params,
+                        &mut self.lookups,
+                    );
+                let mut choices = prefix.to_vec();
+                choices.push(choice);
+                let own = g + self.bound[slot + 1];
+                let entries = &self.clusters[slot].entries;
+                let next = choice as usize + 1;
+                let priority = if choice != DELETED && next < entries.len() {
+                    own.min(g_prefix + entries[next].lambda() + self.bound[slot + 1])
+                } else {
+                    own
+                };
+                let state = State {
+                    choices,
+                    g_before_last: g_prefix,
+                    g,
+                    sibling_pushed: false,
+                };
+                self.push_item(state, priority);
+            }
+
+            fn next_answer(&mut self) -> Option<Answer> {
+                let n = self.clusters.len();
+                if self.truncation.is_some() {
+                    return None;
+                }
+                while let Some(QueueItem {
+                    mut state,
+                    priority,
+                    ..
+                }) = self.heap.pop()
+                {
+                    if !self.budget.is_unlimited() {
+                        let due = self.budget_countdown == 0;
+                        self.budget_countdown = if due {
+                            BUDGET_CHECK_INTERVAL - 1
+                        } else {
+                            self.budget_countdown - 1
+                        };
+                        if due {
+                            if let Some(reason) = self.budget.exceeded() {
+                                self.push_item(state, priority);
+                                self.truncation.get_or_insert(reason);
+                                return None;
+                            }
+                        }
+                    }
+                    if self.expansions >= self.config.max_expansions {
+                        self.push_item(state, priority);
+                        self.truncation
+                            .get_or_insert(TruncationReason::ExpansionLimit);
+                        return None;
+                    }
+                    self.expansions += 1;
+                    let t = state.choices.len();
+                    let own = state.g + self.bound[t];
+                    if !state.sibling_pushed {
+                        let last = state.choices[t - 1];
+                        if last != DELETED
+                            && (last as usize + 1) < self.clusters[t - 1].entries.len()
+                        {
+                            let prefix = state.choices[..t - 1].to_vec();
+                            self.push_state(&prefix, state.g_before_last, t - 1, last + 1);
+                        }
+                        state.sibling_pushed = true;
+                    }
+                    if priority + 1e-12 < own {
+                        self.push_item(state, own);
+                        continue;
+                    }
+                    if t == n {
+                        let mut key: Vec<u32> = state
+                            .choices
+                            .iter()
+                            .enumerate()
+                            .map(|(slot, &c)| {
+                                if c == DELETED {
+                                    u32::MAX
+                                } else {
+                                    self.clusters[slot].entries[c as usize].path_id.0
+                                }
+                            })
+                            .collect();
+                        key.sort_unstable();
+                        if !self.config.distinct_paths || !self.emitted_sets.contains(&key) {
+                            self.emitted_sets.push(key);
+                            return Some(materialize(
+                                &state.choices,
+                                state.g,
+                                self.qpaths,
+                                self.ig,
+                                self.clusters,
+                                self.index,
+                                &self.params,
+                                &mut self.lookups,
+                            ));
+                        }
+                    } else {
+                        let first = first_choice(&self.clusters[t]);
+                        self.push_state(&state.choices, state.g, t, first);
+                    }
+                    if self.heap.len() > self.config.max_frontier {
+                        let mut kept = Vec::new();
+                        for _ in 0..self.config.max_frontier / 2 {
+                            match self.heap.pop() {
+                                Some(item) => kept.push(item),
+                                None => break,
+                            }
+                        }
+                        self.heap.clear();
+                        self.heap.extend(kept);
+                        self.truncation
+                            .get_or_insert(TruncationReason::FrontierOverflow);
+                    }
+                }
+                None
+            }
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        pub(super) fn search<I: IndexLike>(
+            qpaths: &[QueryPath],
+            ig: &IntersectionGraph,
+            clusters: &[Cluster],
+            index: &I,
+            params: &ScoreParams,
+            k: usize,
+            config: &SearchConfig,
+            budget: &QueryBudget,
+        ) -> SearchOutcome {
+            let mut outcome = SearchOutcome {
+                answers: Vec::new(),
+                expansions: 0,
+                truncated: false,
+                truncation: None,
+                counters: SearchCounters::default(),
+            };
+            let n = clusters.len();
+            if n == 0 || k == 0 {
+                return outcome;
+            }
+            let mut bound = vec![0.0f64; n + 1];
+            for i in (0..n).rev() {
+                bound[i] = bound[i + 1] + clusters[i].best_lambda();
+            }
+            let mut s = Search {
+                qpaths,
+                ig,
+                clusters,
+                index,
+                params: *params,
+                config: *config,
+                bound,
+                heap: BinaryHeap::new(),
+                seq: 0,
+                emitted_sets: Vec::new(),
+                expansions: 0,
+                truncation: None,
+                budget: budget.clone(),
+                budget_countdown: 0,
+                lookups: 0,
+            };
+            s.push_state(&[], 0.0, 0, first_choice(&clusters[0]));
+            while outcome.answers.len() < k {
+                match s.next_answer() {
+                    Some(answer) => outcome.answers.push(answer),
+                    None => break,
+                }
+            }
+            outcome.expansions = s.expansions;
+            outcome.truncation = s.truncation;
+            outcome.truncated = s.truncation.is_some();
+            if outcome.truncated && outcome.answers.len() < k {
+                // The anytime fill: greedily complete the best frontier
+                // states, cheapest first, without duplicates.
+                let budget = (k - outcome.answers.len()).saturating_mul(2);
+                let mut filled: Vec<(Vec<u32>, f64)> = Vec::new();
+                while filled.len() < budget {
+                    let Some(item) = s.heap.pop() else { break };
+                    let (mut choices, mut g) = (item.state.choices, item.state.g);
+                    while choices.len() < n {
+                        let slot = choices.len();
+                        let mut cost = |c: u32| {
+                            choice_cost(
+                                &choices,
+                                c,
+                                slot,
+                                ig,
+                                clusters,
+                                index,
+                                params,
+                                &mut s.lookups,
+                            )
+                        };
+                        let (best, best_cost) = if clusters[slot].is_empty() {
+                            (DELETED, cost(DELETED))
+                        } else {
+                            (0..clusters[slot].entries.len().min(32) as u32)
+                                .map(|c| (c, cost(c)))
+                                .min_by(|a, b| a.1.total_cmp(&b.1))
+                                .unwrap()
+                        };
+                        g += best_cost;
+                        choices.push(best);
+                    }
+                    filled.push((choices, g));
+                }
+                filled.sort_by(|a, b| a.1.total_cmp(&b.1));
+                let mut added: Vec<Vec<u32>> = Vec::new();
+                for (choices, g) in &filled {
+                    if outcome.answers.len() >= k {
+                        break;
+                    }
+                    if added.contains(choices) {
+                        continue;
+                    }
+                    added.push(choices.clone());
+                    outcome.answers.push(materialize(
+                        choices,
+                        *g,
+                        qpaths,
+                        ig,
+                        clusters,
+                        index,
+                        params,
+                        &mut s.lookups,
+                    ));
+                }
+            }
+            outcome
+        }
+    }
+
+    /// A decomposed query with its clusters over `data`.
+    struct Fixture {
+        index: path_index::PathIndex,
+        qpaths: Vec<QueryPath>,
+        ig: IntersectionGraph,
+        clusters: Vec<Cluster>,
+    }
+
+    fn fixture(data: DataGraph, query: &QueryGraph, cluster: ClusterConfig) -> Fixture {
+        let index = path_index::PathIndex::build(data);
+        let qpaths = decompose_query(
+            query,
+            index.graph().vocab(),
+            &NoSynonyms,
+            &ExtractionConfig::default(),
+        );
+        let ig = IntersectionGraph::build(&qpaths);
+        let clusters = build_clusters(
+            &qpaths,
+            &index,
+            &NoSynonyms,
+            &ScoreParams::paper(),
+            AlignmentMode::Greedy,
+            &cluster,
+        );
+        Fixture {
+            index,
+            qpaths,
+            ig,
+            clusters,
+        }
+    }
+
+    /// Six sponsors of four bills on one subject: every cluster entry
+    /// has λ = 0, so the order rests on the depth and seq tiebreaks.
+    fn tie_heavy() -> Fixture {
+        let mut b = DataGraph::builder();
+        for person in 0..6 {
+            for bill in 0..4 {
+                b.triple_str(&format!("p{person}"), "sponsor", &format!("b{bill}"))
+                    .unwrap();
+            }
+        }
+        for bill in 0..4 {
+            b.triple_str(&format!("b{bill}"), "subject", "\"HC\"")
+                .unwrap();
+        }
+        let mut q = QueryGraph::builder();
+        q.triple_str("?a", "sponsor", "?v").unwrap();
+        q.triple_str("?b", "sponsor", "?v").unwrap();
+        q.triple_str("?c", "sponsor", "?w").unwrap();
+        q.triple_str("?v", "subject", "\"HC\"").unwrap();
+        q.triple_str("?w", "subject", "\"HC\"").unwrap();
+        fixture(b.build(), &q.build(), ClusterConfig::default())
+    }
+
+    fn empty_cluster() -> Fixture {
+        let mut q = QueryGraph::builder();
+        q.triple_str("?v3", "gender", "\"Male\"").unwrap();
+        q.triple_str("?v3", "owns", "\"Spaceship\"").unwrap();
+        fixture(
+            figure1_data(),
+            &q.build(),
+            ClusterConfig {
+                allow_full_scan: false,
+                ..Default::default()
+            },
+        )
+    }
+
+    #[test]
+    fn kernel_matches_reference_search() {
+        let fixtures = [
+            (
+                "figure1",
+                fixture(figure1_data(), &q1(), ClusterConfig::default()),
+            ),
+            ("tie_heavy", tie_heavy()),
+            ("empty_cluster", empty_cluster()),
+        ];
+        let cancelled = crate::CancelToken::new();
+        cancelled.cancel();
+        let budgets = [
+            ("unlimited", QueryBudget::unlimited()),
+            (
+                "deadline_0",
+                QueryBudget::deadline(std::time::Duration::ZERO),
+            ),
+            (
+                "cancelled",
+                QueryBudget::unlimited().cancelled_by(cancelled),
+            ),
+        ];
+        let configs = [
+            ("default", SearchConfig::default()),
+            (
+                "distinct_paths",
+                SearchConfig {
+                    distinct_paths: true,
+                    ..Default::default()
+                },
+            ),
+            (
+                "max_expansions_2",
+                SearchConfig {
+                    max_expansions: 2,
+                    ..Default::default()
+                },
+            ),
+            (
+                "max_frontier_2",
+                SearchConfig {
+                    max_frontier: 2,
+                    ..Default::default()
+                },
+            ),
+        ];
+        let params = ScoreParams::paper();
+        for (name, fx) in &fixtures {
+            assert!(
+                fx.clusters.len() >= 2,
+                "{name}: fixture must combine clusters"
+            );
+            for (budget_name, budget) in &budgets {
+                for (config_name, config) in &configs {
+                    for k in [1, 10, 1000] {
+                        let label = format!("{name}/{budget_name}/{config_name}/k={k}");
+                        let (q, ig, cl, ix) = (&fx.qpaths, &fx.ig, &fx.clusters, &fx.index);
+                        let new = search_top_k_budgeted(q, ig, cl, ix, &params, k, config, budget);
+                        let old = reference::search(q, ig, cl, ix, &params, k, config, budget);
+                        assert_eq!(new.expansions, old.expansions, "{label}: expansions");
+                        assert_eq!(new.truncated, old.truncated, "{label}: truncated");
+                        assert_eq!(new.truncation, old.truncation, "{label}: truncation");
+                        assert_eq!(
+                            format!("{:?}", new.answers),
+                            format!("{:?}", old.answers),
+                            "{label}: answers"
+                        );
+                        for (a, b) in new.answers.iter().zip(&old.answers) {
+                            assert_eq!(a.lambda().to_bits(), b.lambda().to_bits(), "{label}");
+                            assert_eq!(a.psi().to_bits(), b.psi().to_bits(), "{label}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tie_heavy_fixture_exercises_the_tiebreaks() {
+        let fx = tie_heavy();
+        let outcome = search_top_k(
+            &fx.qpaths,
+            &fx.ig,
+            &fx.clusters,
+            &fx.index,
+            &ScoreParams::paper(),
+            1000,
+            &SearchConfig::default(),
+        );
+        let exact = outcome.answers.iter().filter(|a| a.score() == 0.0).count();
+        assert!(exact > 10, "many equal-score answers: {exact}");
+        let c = outcome.counters;
+        assert!(c.reinserts > 0 && c.pushes > c.reinserts, "{c:?}");
+        assert!(c.chi_lookups > 0 && c.peak_frontier > 1, "{c:?}");
+    }
+
+    #[test]
+    fn packed_key_orders_like_the_reference_comparator() {
+        let priorities = [
+            f64::NEG_INFINITY,
+            -3.5,
+            -0.0,
+            0.0,
+            1e-300,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.0,
+            f64::INFINITY,
+        ];
+        let mut items = Vec::new();
+        for &p in &priorities {
+            for depth in [1usize, 2, 7] {
+                for seq in [0u64, 1, 2, 1000, u64::from(u32::MAX - 1)] {
+                    items.push((p, depth, seq));
+                }
+            }
+        }
+        for &(pa, da, sa) in &items {
+            let ka = pack_key(pa, da as u32, sa as u32);
+            assert_eq!(key_priority(ka).to_bits(), pa.to_bits());
+            assert_eq!(key_node(ka), sa as u32);
+            for &(pb, db, sb) in &items {
+                let kb = pack_key(pb, db as u32, sb as u32);
+                let old = reference::QueueItem::probe(pa, da, sa)
+                    .cmp(&reference::QueueItem::probe(pb, db, sb));
+                assert_eq!(
+                    ka.cmp(&kb),
+                    old,
+                    "({pa:?}, {da}, {sa}) vs ({pb:?}, {db}, {sb})"
+                );
+            }
+        }
+        // −0.0 sorts before +0.0, as under `total_cmp`.
+        assert!(pack_key(-0.0, 1, 5) > pack_key(0.0, 1, 5));
     }
 }

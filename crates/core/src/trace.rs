@@ -1,7 +1,7 @@
 //! Per-query EXPLAIN traces: a structured record of *what the pipeline
 //! did* for one query — paths decomposed, clusters probed, candidates
-//! aligned, expansions, truncation reason, cache hit ratios, per-phase
-//! durations — attached to [`crate::QueryResult`] behind a
+//! aligned, expansions, truncation reason, search work counters,
+//! per-phase durations — attached to [`crate::QueryResult`] behind a
 //! [`TraceConfig`] and emitted as JSONL by the CLI (`sama query
 //! --explain`, `sama batch --trace-out`).
 //!
@@ -10,11 +10,10 @@
 //! aggregate metrics registry (see [`sama_obs`]) can only report as
 //! process-wide distributions.
 
-use crate::chi_cache::ChiCacheStats;
 use crate::cluster::{Cluster, ClusterTier};
 use crate::engine::QueryTimings;
 use crate::qpath::QueryPath;
-use crate::search::{SearchOutcome, TruncationReason};
+use crate::search::{SearchCounters, SearchOutcome, TruncationReason};
 use rdf_model::QueryGraph;
 use std::fmt::Write;
 use std::sync::OnceLock;
@@ -100,23 +99,6 @@ pub struct TraceCluster {
     pub tier: ClusterTier,
 }
 
-/// χ-cache behaviour of one query, as recorded in a trace.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TraceChi {
-    /// Total `|χ|` lookups.
-    pub lookups: u64,
-    /// Served by the query-scoped tier.
-    pub hits: u64,
-    /// Served by the cross-query shared tier.
-    pub shared_hits: u64,
-    /// Computed (cache misses).
-    pub misses: u64,
-    /// Fraction of lookups served by either tier.
-    pub hit_rate: f64,
-    /// Nanoseconds spent computing χ on misses.
-    pub compute_ns: u64,
-}
-
 /// Per-phase durations of one query, in nanoseconds.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TracePhases {
@@ -126,8 +108,6 @@ pub struct TracePhases {
     pub clustering_ns: u64,
     /// Top-k combination search.
     pub search_ns: u64,
-    /// χ compute time inside the search (sub-measure of `search_ns`).
-    pub chi_ns: u64,
     /// `preprocessing + clustering + search`.
     pub total_ns: u64,
 }
@@ -163,8 +143,8 @@ pub struct ExplainTrace {
     pub truncation: Option<TruncationReason>,
     /// `true` if a cluster cap dropped candidates.
     pub clusters_truncated: bool,
-    /// χ-cache hit ratios and compute time.
-    pub chi: TraceChi,
+    /// Pushes, re-inserts, χ lookups and peak frontier of the search.
+    pub search: SearchCounters,
     /// Per-phase durations.
     pub phases: TracePhases,
 }
@@ -184,7 +164,6 @@ impl ExplainTrace {
         outcome: &SearchOutcome,
         timings: &QueryTimings,
     ) -> Self {
-        let chi_stats: ChiCacheStats = outcome.chi_stats;
         let trace_clusters: Vec<TraceCluster> = clusters
             .iter()
             .map(|c| TraceCluster {
@@ -222,19 +201,11 @@ impl ExplainTrace {
             truncated: outcome.truncated || clusters_truncated,
             truncation: outcome.truncation,
             clusters_truncated,
-            chi: TraceChi {
-                lookups: chi_stats.lookups(),
-                hits: chi_stats.hits,
-                shared_hits: chi_stats.shared_hits,
-                misses: chi_stats.misses,
-                hit_rate: chi_stats.hit_rate(),
-                compute_ns: ns(chi_stats.chi_time),
-            },
+            search: outcome.counters,
             phases: TracePhases {
                 preprocessing_ns: ns(timings.preprocessing),
                 clustering_ns: ns(timings.clustering),
                 search_ns: ns(timings.search),
-                chi_ns: ns(timings.chi),
                 total_ns: ns(timings.total()),
             },
         }
@@ -304,23 +275,20 @@ impl ExplainTrace {
         );
         let _ = write!(
             out,
-            ",\"chi\":{{\"lookups\":{},\"hits\":{},\"shared_hits\":{},\"misses\":{},\
-             \"hit_rate\":{:.4},\"compute_ns\":{}}}",
-            self.chi.lookups,
-            self.chi.hits,
-            self.chi.shared_hits,
-            self.chi.misses,
-            self.chi.hit_rate,
-            self.chi.compute_ns,
+            ",\"search\":{{\"pushes\":{},\"reinserts\":{},\"chi_lookups\":{},\
+             \"peak_frontier\":{}}}",
+            self.search.pushes,
+            self.search.reinserts,
+            self.search.chi_lookups,
+            self.search.peak_frontier,
         );
         let _ = write!(
             out,
             ",\"phases\":{{\"preprocessing_ns\":{},\"clustering_ns\":{},\"search_ns\":{},\
-             \"chi_ns\":{},\"total_ns\":{}}}}}",
+             \"total_ns\":{}}}}}",
             self.phases.preprocessing_ns,
             self.phases.clustering_ns,
             self.phases.search_ns,
-            self.phases.chi_ns,
             self.phases.total_ns,
         );
         out
@@ -363,7 +331,8 @@ mod tests {
         assert_eq!(trace.truncated, result.truncated);
         assert!(trace.query_paths.iter().all(|p| !p.rendered.is_empty()));
         assert!(trace.phases.total_ns >= trace.phases.search_ns);
-        assert_eq!(trace.chi.lookups, result.chi_stats.lookups());
+        assert_eq!(trace.search, result.search_counters);
+        assert!(trace.search.pushes > 0 && trace.search.peak_frontier > 0);
     }
 
     #[test]
@@ -405,6 +374,6 @@ mod tests {
         assert!(balance('[', ']'));
         assert!(line.contains("\"truncation\":null"));
         assert!(line.contains("\"phases\":{"));
-        assert!(line.contains("\"hit_rate\":"));
+        assert!(line.contains("\"search\":{\"pushes\":"));
     }
 }

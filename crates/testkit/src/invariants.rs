@@ -3,7 +3,8 @@
 //!
 //! Two kinds. **Differential** invariants run the same query through
 //! two implementations or configurations that must agree (serial vs.
-//! parallel, cached vs. uncached χ, engine vs. the VF2/GED oracles).
+//! parallel, the search vs. brute-force enumeration, engine vs. the
+//! VF2/GED oracles).
 //! **Metamorphic** invariants transform the input in a way with a known
 //! effect on the output (permutation ⇒ unchanged, query generalization
 //! ⇒ score can only drop) and check the relation.
@@ -35,8 +36,8 @@ use graph_match::{Matcher, Vf2Matcher};
 use path_index::{IcTable, IndexLike, MappedIndex, PathIndex, Thesaurus};
 use rdf_model::{DataGraph, Graph, Term, Triple};
 use sama_core::{
-    AlignmentMode, BatchConfig, ClusterConfig, EngineConfig, QueryBudget, QueryResult, Retrieval,
-    SamaEngine, SearchConfig, SharedChiCache, TraceConfig,
+    chi_count, AlignmentMode, BatchConfig, ClusterConfig, EngineConfig, QueryBudget, QueryResult,
+    Retrieval, SamaEngine, SearchConfig, TraceConfig,
 };
 use std::time::Duration;
 
@@ -65,10 +66,11 @@ pub struct Invariant {
 /// Every public invariant, swept by the runner for every generated case.
 pub const CATALOG: &[Invariant] = &[
     Invariant {
-        name: "chi_cache_identity",
+        name: "search_matches_bruteforce",
         kind: Kind::Differential,
-        summary: "cached vs uncached χ produce bit-identical answers",
-        check: chi_cache_identity,
+        summary: "on small cluster products the search's top-k scores equal the \
+                  k best Λ + Ψ over every combination",
+        check: search_matches_bruteforce,
     },
     Invariant {
         name: "parallel_identity",
@@ -81,12 +83,6 @@ pub const CATALOG: &[Invariant] = &[
         kind: Kind::Differential,
         summary: "the batch worker pool matches single-shot answers bit-for-bit",
         check: batch_identity,
-    },
-    Invariant {
-        name: "shared_chi_identity",
-        kind: Kind::Differential,
-        summary: "a shared cross-query χ cache (cold and warm) changes nothing",
-        check: shared_chi_identity,
     },
     Invariant {
         name: "exact_answers_embed",
@@ -293,17 +289,77 @@ fn graph_as_data(g: &Graph) -> Option<DataGraph> {
 // ---------------------------------------------------------------------------
 // Differential checks.
 
-fn chi_cache_identity(case: &Case) -> Result<(), String> {
+/// Cluster products above this are not enumerated by
+/// [`search_matches_bruteforce`].
+const BRUTEFORCE_MAX_COMBINATIONS: usize = 4096;
+
+/// The paper's search claims the true top-k of `Λ + Ψ` over its
+/// clusters. Enumerate every combination — one entry per cluster, or
+/// deletion for an empty cluster — score it independently (χ by the
+/// path-based [`chi_count`], not the search's sorted merge), and
+/// compare the k best scores with the emitted ones, rank by rank.
+fn search_matches_bruteforce(case: &Case) -> Result<(), String> {
     let query = case.query_graph();
-    let cached = engine(case, base_config()).answer(&query, case.k);
-    let mut config = base_config();
-    config.search.use_chi_cache = false;
-    let uncached = engine(case, config).answer(&query, case.k);
-    if fingerprint(&cached) != fingerprint(&uncached) {
-        return Err(diff(
-            "cached vs uncached χ diverged",
-            &fingerprint(&cached),
-            &fingerprint(&uncached),
+    let eng = engine(case, base_config());
+    let result = eng.answer(&query, case.k);
+    let clusters = &result.clusters;
+    let widths: Vec<usize> = clusters.iter().map(|c| c.entries.len().max(1)).collect();
+    let Some(total) = widths.iter().try_fold(1usize, |acc, &w| {
+        acc.checked_mul(w)
+            .filter(|&p| p <= BRUTEFORCE_MAX_COMBINATIONS)
+    }) else {
+        return Ok(());
+    };
+    if clusters.is_empty() {
+        return match result.answers.is_empty() {
+            true => Ok(()),
+            false => Err("answers without clusters".into()),
+        };
+    }
+    if result.truncated {
+        return Err(format!("search truncated on {total} combinations"));
+    }
+    let index = eng.index();
+    let e = eng.params().e;
+    let mut pick = vec![0usize; clusters.len()];
+    let mut scores = Vec::with_capacity(total);
+    for _ in 0..total {
+        let entry = |q: usize| clusters[q].entries.get(pick[q]);
+        let lambda: f64 = (0..clusters.len())
+            .map(|q| entry(q).map_or(clusters[q].deletion_lambda, |en| en.lambda()))
+            .sum();
+        let psi: f64 = result
+            .intersection_graph
+            .edges
+            .iter()
+            .map(|edge| {
+                let chi_p = match (entry(edge.qi), entry(edge.qj)) {
+                    (Some(a), Some(b)) => {
+                        chi_count(&index.path(a.path_id).path, &index.path(b.path_id).path)
+                    }
+                    _ => 0,
+                };
+                e * edge.chi_q().saturating_sub(chi_p) as f64
+            })
+            .sum();
+        scores.push(lambda + psi);
+        // Odometer step over the per-cluster choices.
+        for (slot, &width) in pick.iter_mut().zip(&widths) {
+            *slot += 1;
+            if *slot < width {
+                break;
+            }
+            *slot = 0;
+        }
+    }
+    scores.sort_by(f64::total_cmp);
+    scores.truncate(case.k);
+    let emitted: Vec<f64> = result.answers.iter().map(|a| a.score()).collect();
+    if !scores_approx_equal(&emitted, &scores) {
+        return Err(format!(
+            "search top-{} over {total} combinations:\n  search     : {emitted:?}\n  \
+             brute force: {scores:?}",
+            case.k
         ));
     }
     Ok(())
@@ -353,30 +409,6 @@ fn batch_identity(case: &Case) -> Result<(), String> {
                 }
             }
         }
-    }
-    Ok(())
-}
-
-fn shared_chi_identity(case: &Case) -> Result<(), String> {
-    let query = case.query_graph();
-    let plain = engine(case, base_config()).answer(&query, case.k);
-    let shared = engine(case, base_config()).with_shared_chi_cache(SharedChiCache::with_defaults());
-    // Cold pass feeds the cache, warm pass reads it; both must match.
-    let cold = shared.answer(&query, case.k);
-    let warm = shared.answer(&query, case.k);
-    if fingerprint(&plain) != fingerprint(&cold) {
-        return Err(diff(
-            "shared χ cache (cold) diverged",
-            &fingerprint(&plain),
-            &fingerprint(&cold),
-        ));
-    }
-    if fingerprint(&plain) != fingerprint(&warm) {
-        return Err(diff(
-            "shared χ cache (warm) diverged",
-            &fingerprint(&plain),
-            &fingerprint(&warm),
-        ));
     }
     Ok(())
 }
@@ -451,7 +483,7 @@ fn ged_oracle_agreement(case: &Case) -> Result<(), String> {
 /// The timing-free structure of an EXPLAIN trace: which query paths
 /// were decomposed, what every cluster retrieved/aligned/kept, and how
 /// the search ended. Two runs over equal indexes must match exactly;
-/// only durations and cache ratios may differ.
+/// only durations may differ.
 fn trace_structure(result: &QueryResult) -> Vec<String> {
     let Some(trace) = &result.trace else {
         return vec!["<no trace>".into()];

@@ -13,8 +13,8 @@ use sama_testkit::assert_invariant;
 // --- Differential: two implementations must agree ---
 
 #[test]
-fn chi_cache_identity() {
-    assert_invariant("chi_cache_identity");
+fn search_matches_bruteforce() {
+    assert_invariant("search_matches_bruteforce");
 }
 
 #[test]
@@ -25,11 +25,6 @@ fn parallel_identity() {
 #[test]
 fn batch_identity() {
     assert_invariant("batch_identity");
-}
-
-#[test]
-fn shared_chi_identity() {
-    assert_invariant("shared_chi_identity");
 }
 
 #[test]

@@ -12,8 +12,8 @@
 
 use sama::engine::{
     json_escape, render_result_json, AnchorSelection, BatchConfig, ClusterConfig, EngineConfig,
-    Retrieval, SamaEngine, SharedChiCache, TraceConfig, TruncationReason, LSH_DEFAULT_BANDS,
-    LSH_DEFAULT_ROWS, LSH_DEFAULT_TOP_M,
+    Retrieval, SamaEngine, TraceConfig, TruncationReason, LSH_DEFAULT_BANDS, LSH_DEFAULT_ROWS,
+    LSH_DEFAULT_TOP_M,
 };
 use sama::index::{
     build_lsh_bytes, decode_any, encode, encode_compressed, encode_v2, serialize_index,
@@ -64,7 +64,7 @@ USAGE:
              [--ic-weights] [--synonyms <file>]
              [--profile-out <file>] [--slowlog MS] [--slowlog-out <file>]
   sama batch <index.bin> <q1.rq> [q2.rq ...] [-k N] [--threads N]
-             [--shared-chi] [--json] [--metrics-out <file>] [--trace-out <file>]
+             [--json] [--metrics-out <file>] [--trace-out <file>]
              [--deadline-ms N] [--max-queue N] [--mmap]
              [--lsh] [--lsh-top-m N] [--anchor sink|selective]
              [--ic-weights] [--synonyms <file>]
@@ -89,7 +89,6 @@ USAGE:
 
   --threads N        worker threads (0 = all hardware threads); N != 1 also
                      turns on parallel clustering and in-cluster alignment
-  --shared-chi       share one cross-query chi cache between batch workers
   --explain          emit the per-query EXPLAIN trace as one JSONL line
   --explain-text     human-readable pipeline + per-answer breakdown
   --metrics-out F    write Prometheus text to F and a JSON snapshot to F.json
@@ -723,17 +722,13 @@ fn run_query<I: IndexLike + Sync>(
             result.retrieved_paths, result.truncated
         );
         println!(
-            "timings: preprocess {:.2?}, cluster {:.2?}, search {:.2?} (χ {:.2?})",
-            result.timings.preprocessing,
-            result.timings.clustering,
-            result.timings.search,
-            result.timings.chi
+            "timings: preprocess {:.2?}, cluster {:.2?}, search {:.2?}",
+            result.timings.preprocessing, result.timings.clustering, result.timings.search,
         );
+        let c = result.search_counters;
         println!(
-            "χ cache: {} lookups, {} hits ({:.0}%)",
-            result.chi_stats.lookups(),
-            result.chi_stats.hits,
-            result.chi_stats.hit_rate() * 100.0
+            "search work: {} pushes, {} reinserts, {} χ lookups, peak frontier {}",
+            c.pushes, c.reinserts, c.chi_lookups, c.peak_frontier
         );
         println!();
     }
@@ -784,7 +779,6 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     let mut positional = Vec::new();
     let mut k = 10usize;
     let mut threads = 0usize;
-    let mut shared_chi = false;
     let mut json = false;
     let mut metrics_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
@@ -858,7 +852,6 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|_| "bad --max-queue value")?;
             }
-            "--shared-chi" => shared_chi = true,
             "--json" => json = true,
             "--mmap" => mmap = true,
             "--lsh" => lsh = true,
@@ -928,9 +921,6 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         if let Some(thesaurus) = &thesaurus {
             engine = engine.relax_synonyms(thesaurus.clone());
         }
-        if shared_chi {
-            engine = engine.with_shared_chi_cache(SharedChiCache::with_defaults());
-        }
         engine.answer_batch(&queries, &batch_config)
     } else {
         let mut index = load_index(index_path)?;
@@ -943,9 +933,6 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         let mut engine = SamaEngine::from_index_with_config(index, config);
         if let Some(thesaurus) = &thesaurus {
             engine = engine.relax_synonyms(thesaurus.clone());
-        }
-        if shared_chi {
-            engine = engine.with_shared_chi_cache(SharedChiCache::with_defaults());
         }
         engine.answer_batch(&queries, &batch_config)
     };

@@ -148,7 +148,6 @@ fn batch_answers_many_queries() {
             "3",
             "--threads",
             "2",
-            "--shared-chi",
         ])
         .output()
         .unwrap();
@@ -239,7 +238,7 @@ fn query_explain_emits_jsonl_trace() {
         "\"clusters\":[",
         "\"expansions\":",
         "\"truncation\":",
-        "\"hit_rate\":",
+        "\"search\":{\"pushes\":",
         "\"phases\":{",
         "\"preprocessing_ns\":",
         "\"clustering_ns\":",
@@ -300,7 +299,6 @@ fn batch_metrics_out_and_trace_out() {
             idx.to_str().unwrap(),
             rq.to_str().unwrap(),
             rq.to_str().unwrap(),
-            "--shared-chi",
             "--metrics-out",
             prom.to_str().unwrap(),
             "--trace-out",
@@ -314,8 +312,7 @@ fn batch_metrics_out_and_trace_out() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // Prometheus exposition covers all three phases, both chi tiers and
-    // the worker pool.
+    // Prometheus exposition covers all three phases and the worker pool.
     let text = std::fs::read_to_string(&prom).unwrap();
     for metric in [
         "# TYPE sama_query_queries_total counter",
@@ -325,9 +322,6 @@ fn batch_metrics_out_and_trace_out() {
         "sama_query_search_ns_count",
         "sama_cluster_retrieve_ns_count",
         "sama_cluster_align_ns_count",
-        "sama_chi_query_hits_total",
-        "sama_chi_shared_hits_total",
-        "sama_chi_shared_cache_entries",
         "sama_batch_pool_threads",
         "sama_batch_run_ns_count",
         "sama_search_expansions_total",
